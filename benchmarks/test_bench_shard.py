@@ -31,7 +31,10 @@ from repro.campaign.spec import CampaignSpec
 #: near 70 MiB; a resident 100k-unit expansion with its result rows
 #: measures well past 1 GiB, so the budget both bounds the streaming path
 #: (with headroom for interpreter/NumPy variance across CI runners) and
-#: rules out O(plan) residency outright.
+#: rules out O(plan) residency outright.  The finalize pass that takes the
+#: aggregate's exact quantiles reads one numeric column back from the shard
+#: artifacts at a time: 8 B per unit (~0.8 MiB at 100k units) plus one
+#: shard's mask, never the campaign frame.
 RSS_BUDGET_MIB = 192
 
 #: Cheapest valid unit: one measured level plus active idle, no noise draws.

@@ -23,22 +23,147 @@ right tool when shards are reduced on different workers; it is numerically
 stable but *not* bit-identical to the sequential order, so the campaign
 data plane reduces sequentially and reserves ``merge`` for explicitly
 parallel consumers.
+
+Quantiles
+---------
+Quantiles are exact and never streamed.  :func:`frame_quantiles` takes the
+quantiles of every numeric column of one frame in a single vectorized pass
+(what each ``shard_flush`` event reports), and :func:`column_quantiles`
+takes them over one column's values of the whole campaign (what the
+aggregate reports; the streaming runner reads those values back from the
+shard artifacts one column at a time).  Both use NumPy's linear rule on the
+finite, unmasked values, so they equal ``np.quantile`` of those values bit
+for bit — and since the value set does not depend on shard boundaries,
+neither can the quantiles.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..errors import StatsError
 from ..frame import Frame
-from ..obs.sketch import DEFAULT_QUANTILES, QuantileSketch, quantile_label
 
-__all__ = ["OnlineMoments", "FrameReducer", "reduce_frame"]
+__all__ = [
+    "DEFAULT_QUANTILES",
+    "OnlineMoments",
+    "FrameReducer",
+    "column_quantiles",
+    "frame_quantiles",
+    "quantile_label",
+    "reduce_frame",
+    "valid_values",
+]
 
 #: Column kinds the reducer aggregates (strings and booleans are identity
 #: columns, not measurements).
 _NUMERIC_KINDS = ("float", "int")
+
+#: The percentile summary the campaign aggregate and ``campaign watch``
+#: report by default: median, tail, far tail.
+DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+
+#: Per-column quantile values keyed by label: ``{"p50": 1.0, ...}``; a
+#: column without a single valid value reports ``None``.
+Quantiles = dict[str, "float | None"]
+
+
+def quantile_label(q: float) -> str:
+    """Column/field label of one quantile (``0.5`` → ``"p50"``)."""
+    return f"p{q * 100:g}".replace(".", "_")
+
+
+def valid_values(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """The finite, unmasked entries of one numeric column, as float64.
+
+    These are the values quantiles are taken over: masked entries, NaN and
+    ±inf carry no order statistics.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    keep = np.isfinite(values)
+    if mask is not None:
+        keep &= ~mask
+    return values[keep]
+
+
+def _interpolate(
+    ordered: np.ndarray, counts: np.ndarray, quantiles: Sequence[float]
+) -> np.ndarray:
+    """Linear-interpolation quantiles of each row of an ascending block.
+
+    Row ``i`` holds its ``counts[i]`` values first, in ascending order, then
+    NaN padding (read only by empty rows, which thus yield NaN).  The
+    arithmetic is NumPy's ``method="linear"`` step for step — virtual index
+    ``q * (n - 1)`` and a lerp that anchors on the upper neighbour past the
+    midpoint — so the result is bit-equal to ``np.quantile`` of each row's
+    values.  Returns a ``(rows, len(quantiles))`` array.
+    """
+    if ordered.shape[1] == 0:
+        return np.full((len(counts), len(quantiles)), np.nan)
+    last = np.maximum(counts - 1, 0)[:, None]
+    position = np.asarray(quantiles, dtype=np.float64)[None, :] * last
+    low = np.floor(position)
+    fraction = position - low
+    low = low.astype(np.intp)
+    high = np.minimum(low + 1, last)
+    rows = np.arange(len(counts))[:, None]
+    below = ordered[rows, low]
+    above = ordered[rows, high]
+    diff = above - below
+    return np.where(fraction >= 0.5, above - diff * (1.0 - fraction), below + diff * fraction)
+
+
+def _labelled(row: np.ndarray, quantiles: Sequence[float]) -> Quantiles:
+    return {
+        quantile_label(q): (None if value != value else float(value))
+        for q, value in zip(quantiles, row.tolist())
+    }
+
+
+def column_quantiles(
+    values: np.ndarray, quantiles: Sequence[float] = DEFAULT_QUANTILES
+) -> Quantiles:
+    """Exact quantiles of one column's valid values (see :func:`valid_values`).
+
+    Sorts ``values`` in place; the caller hands over the array it gathered.
+    """
+    values.sort()
+    table = _interpolate(values[None, :], np.array([len(values)]), quantiles)
+    return _labelled(table[0], quantiles)
+
+
+def frame_quantiles(
+    frame: Frame, quantiles: Sequence[float] = DEFAULT_QUANTILES
+) -> dict[str, Quantiles]:
+    """Exact quantiles of every numeric column of ``frame``, in one pass.
+
+    The numeric columns are stacked into one float64 block whose invalid
+    entries are set to NaN, so a single row-wise sort (NaN sorts last)
+    lines every column's valid values up for :func:`_interpolate` — one
+    sort instead of one ``np.quantile`` call per column.  Columns without a
+    single valid value get no entry.
+    """
+    names = [name for name in frame.columns if frame[name].kind in _NUMERIC_KINDS]
+    if not names or not quantiles:
+        return {}
+    block = np.empty((len(names), len(frame)))
+    invalid = np.empty(block.shape, dtype=bool)
+    for row, name in enumerate(names):
+        column = frame[name]
+        block[row] = column.values
+        invalid[row] = column.mask
+    invalid |= ~np.isfinite(block)
+    block[invalid] = np.nan
+    block.sort(axis=1)
+    counts = len(frame) - np.count_nonzero(invalid, axis=1)
+    table = _interpolate(block, counts, quantiles)
+    return {
+        name: _labelled(row, quantiles)
+        for name, row, count in zip(names, table, counts)
+        if count
+    }
 
 
 class OnlineMoments:
@@ -156,20 +281,23 @@ class FrameReducer:
     later frame (schema drift across shards) simply receives no values from
     it, mirroring the union-of-columns semantics of frame assembly.
 
-    Alongside the moments, each column feeds a streaming
-    :class:`repro.obs.sketch.QuantileSketch`, so the summary frame reports
-    percentiles (``p50``/``p90``/``p99`` by default) without residency.
-    The sketch shares the determinism contract: per-value sequential
-    pushes, exact below its buffer threshold, compression at a count that
-    is a function of the stream alone — shard boundaries cannot move an
-    estimate.  Pass ``quantiles=()`` to skip sketching entirely.
+    Each ``update`` also records the exact quantiles of the frame it folded
+    (:attr:`last_quantiles`, what shard events report).  Quantiles of the
+    whole stream cannot be folded from those, so :meth:`to_frame` takes
+    them from the caller — :func:`reduce_frame` for a resident frame, the
+    streaming runner's finalize pass for a sharded campaign.  Pass
+    ``quantiles=()`` to drop the quantile columns entirely.
     """
 
     def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        self.quantiles = tuple(quantiles)
+        self.quantiles = tuple(float(q) for q in quantiles)
+        for q in self.quantiles:
+            if not 0.0 < q < 1.0:
+                raise StatsError(f"quantile must be in (0, 1), got {q}")
         self._reducers: dict[str, OnlineMoments] = {}
-        self._sketches: dict[str, QuantileSketch] = {}
         self.n_rows = 0
+        #: Exact quantiles of the most recent frame, per numeric column.
+        self.last_quantiles: dict[str, Quantiles] = {}
 
     def __len__(self) -> int:
         return len(self._reducers)
@@ -181,10 +309,6 @@ class FrameReducer:
     def __getitem__(self, name: str) -> OnlineMoments:
         return self._reducers[name]
 
-    def sketch(self, name: str) -> QuantileSketch | None:
-        """The quantile sketch for one column (``None`` if not sketching)."""
-        return self._sketches.get(name)
-
     def update(self, frame: Frame) -> None:
         """Fold every numeric column of ``frame`` into its reducer."""
         self.n_rows += len(frame)
@@ -195,48 +319,17 @@ class FrameReducer:
             reducer = self._reducers.get(name)
             if reducer is None:
                 reducer = self._reducers[name] = OnlineMoments()
-                if self.quantiles:
-                    self._sketches[name] = QuantileSketch(self.quantiles)
             reducer.update(column.values, column.mask)
-            sketch = self._sketches.get(name)
-            if sketch is not None:
-                sketch.update(column.values, column.mask)
+        if self.quantiles:
+            self.last_quantiles = frame_quantiles(frame, self.quantiles)
 
-    def merge(self, other: "FrameReducer") -> "FrameReducer":
-        """Combined reducer of two independent streams (Chan et al. merge).
+    def to_frame(self, quantiles: Mapping[str, Quantiles] | None = None) -> Frame:
+        """The aggregate summary: one row per reduced column.
 
-        Returns a new reducer; neither input is modified.  Like
-        :meth:`OnlineMoments.merge` this is for shards reduced on separate
-        workers — numerically stable but merge-tree-dependent, so the
-        sequential data plane never calls it.
+        ``quantiles`` supplies each column's quantiles over the whole
+        stream (``column -> {"p50": ..., ...}``); a column it does not
+        cover reports ``None``, like an empty accumulator.
         """
-        if self.quantiles != other.quantiles:
-            from ..errors import StatsError
-
-            raise StatsError("cannot merge reducers tracking different quantiles")
-        merged = FrameReducer(self.quantiles)
-        merged.n_rows = self.n_rows + other.n_rows
-        names = list(self._reducers)
-        names.extend(name for name in other._reducers if name not in self._reducers)
-        for name in names:
-            mine = self._reducers.get(name, OnlineMoments())
-            theirs = other._reducers.get(name, OnlineMoments())
-            merged._reducers[name] = mine.merge(theirs)
-            if self.quantiles:
-                mine_sk = self._sketches.get(name) or QuantileSketch(self.quantiles)
-                theirs_sk = other._sketches.get(name) or QuantileSketch(self.quantiles)
-                merged._sketches[name] = mine_sk.merge(theirs_sk)
-        return merged
-
-    def quantile_snapshot(self, name: str) -> dict[str, float | None]:
-        """Current quantile estimates of one column (for event emission)."""
-        sketch = self._sketches.get(name)
-        if sketch is None:
-            return {}
-        return sketch.estimates()
-
-    def to_frame(self) -> Frame:
-        """The aggregate summary: one row per reduced column."""
         rows: dict[str, list] = {
             "column": [],
             "count": [],
@@ -249,17 +342,14 @@ class FrameReducer:
         labels = [quantile_label(q) for q in self.quantiles]
         for label in labels:
             rows[label] = []
+        quantiles = quantiles or {}
         for name, reducer in self._reducers.items():
             rows["column"].append(name)
             for field, value in reducer.as_row().items():
                 rows[field].append(value)
-            if labels:
-                estimates = self._sketches[name].estimates()
-                for label in labels:
-                    value = estimates[label]
-                    # Empty streams estimate NaN; report None like the
-                    # other empty-accumulator fields.
-                    rows[label].append(None if value != value else value)
+            values = quantiles.get(name, {})
+            for label in labels:
+                rows[label].append(values.get(label))
         return Frame.from_dict(rows)
 
 
@@ -268,8 +358,9 @@ def reduce_frame(frame: Frame, quantiles: Sequence[float] = DEFAULT_QUANTILES) -
 
     This is the unsharded counterpart of streaming a :class:`FrameReducer`
     over shards: feeding the whole frame in one ``update`` performs the
-    exact same sequence of scalar operations, so the two are bit-identical.
+    exact same sequence of Welford steps, and the frame's own exact
+    quantiles are the campaign's, so the two are bit-identical.
     """
     reducer = FrameReducer(quantiles)
     reducer.update(frame)
-    return reducer.to_frame()
+    return reducer.to_frame(reducer.last_quantiles)

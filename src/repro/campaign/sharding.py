@@ -31,8 +31,11 @@ keys, cached rows and the per-shard frames are exactly what the unsharded
 runner produces, shard concatenation reproduces the unsharded campaign
 frame bit-for-bit, and the sequential reducers make the streamed aggregate
 bit-identical to reducing that frame in one pass (all pinned by the
-sharding tests and ``benchmarks/test_bench_shard.py``).  Worker pools keep
-the contract because aggregation never happens in workers: they only
+sharding tests and ``benchmarks/test_bench_shard.py``).  Aggregate
+quantiles are exact: a finalize pass reads each numeric column back from
+the verified shard artifacts, one column at a time, and takes its
+quantiles over the same values the unsharded frame holds.  Worker pools
+keep the contract because aggregation never happens in workers: they only
 populate shard artifacts (deterministic, content-addressed), and the
 coordinator folds those artifacts in shard-index order exactly like a
 serial run — so an N-worker run is bit-identical to the 1-worker run and
@@ -46,22 +49,26 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
+
+import numpy as np
 
 from ..errors import ArtifactError, CampaignError, InjectedFault
 from ..faults.plan import fault_point, install_fault_plan
 from ..faults.retry import RetryPolicy
 from ..frame import Frame, concat
+from ..frame.mmapio import NpzMap
 from ..market.catalog import Catalog
 from ..obs.trace import get_tracer
 from ..parallel import ParallelConfig
 from ..session.artifacts import ArtifactStore, digest_json
-from ..session.columnar import frame_from_arrays, frame_to_arrays
+from ..session.columnar import frame_from_arrays, frame_to_arrays, numeric_slots
 from ..session.policy import ExecutionPolicy
 from .aggregate import FrameAccumulator, annotate_row
 from .leases import DEFAULT_LEASE_TTL, LeaseHeartbeat, LeaseLedger
-from .reduce import FrameReducer
+from .reduce import FrameReducer, Quantiles, column_quantiles, valid_values
 from .spec import CampaignSpec, CampaignUnit
 from .store import CampaignStore
 
@@ -177,6 +184,9 @@ class ShardOutcome:
     #: accounted as resolved (not pending), which is what lets a degraded
     #: campaign converge instead of re-executing its poison forever.
     quarantined: int = 0
+    #: SHA-256 of the artifact's ``.npz`` sidecar this pass flushed or
+    #: verified (``None`` for stores that predate checksums).
+    checksum: str | None = None
 
     @property
     def is_complete(self) -> bool:
@@ -190,7 +200,8 @@ class StreamingCampaignResult:
     Unlike :class:`~repro.campaign.runner.CampaignResult` there is no
     resident campaign frame — rows live in the store's per-shard ``.npz``
     artifacts, and :attr:`aggregate` carries the streamed column summary
-    (count / sum / mean / min / max / var per numeric column).
+    (count / sum / mean / min / max / var and exact p50 / p90 / p99 per
+    numeric column).
     :meth:`iter_frames` re-streams the rows shard by shard;
     :meth:`frame` materialises them all (only do that at sizes where the
     unsharded runner would have been fine too).
@@ -325,23 +336,54 @@ class StreamingCampaignResult:
 # --------------------------------------------------------------------------- #
 # Streaming execution
 # --------------------------------------------------------------------------- #
-def _jsonable_quantiles(reducer: FrameReducer) -> dict[str, dict[str, float | None]]:
-    """Per-column quantile snapshots, JSON-clean for event emission.
+def _campaign_quantiles(
+    store: CampaignStore,
+    outcomes: list[ShardOutcome],
+    reducer: FrameReducer,
+    reflush: Callable[[int], ShardOutcome],
+) -> dict[str, Quantiles]:
+    """Exact campaign-level quantiles of every reduced column.
 
-    Non-finite estimates become ``None`` (strict-JSON ``null``) and columns
-    with no finite estimate at all are dropped — they carry no signal for
-    ``campaign watch`` and would dominate the event line otherwise.
+    The finalize half of the aggregate: each column is read back from the
+    shard sidecars on its own (``pread`` of its stacked-member row and
+    mask row), so resident memory is one float64 per row plus one shard's
+    mask — never the whole frame.  Sidecars are read only once their bytes
+    match the checksum this pass recorded; a torn one is re-flushed from
+    the unit cache by ``reflush`` (every unit is a cache hit) first.
+    Columns without a single valid value get no entry.
     """
-    snapshot: dict[str, dict[str, float | None]] = {}
+    shard_store = store.shard_store
+    sidecars: list[tuple[NpzMap, dict[str, tuple[str, int, int]], int]] = []
+    for outcome in outcomes:
+        if outcome.n_rows == 0:
+            continue
+        key = outcome.artifact_key
+        if outcome.checksum is not None and shard_store.sidecar_digest(key) != outcome.checksum:
+            outcome = reflush(outcome.index)
+            if shard_store.sidecar_digest(key) != outcome.checksum:
+                raise CampaignError(
+                    f"shard {outcome.index} artifact failed verification again "
+                    f"after a re-flush in {store.directory}"
+                )
+        slots = numeric_slots(shard_store.get(key)["columns"])
+        sidecars.append((NpzMap(shard_store.sidecar_path(key)), slots, outcome.n_rows))
+    gathered = np.empty(sum(n_rows for _, _, n_rows in sidecars))
+    quantiles: dict[str, Quantiles] = {}
     for name in reducer.columns:
-        estimates = reducer.quantile_snapshot(name)
-        cleaned = {
-            label: (None if value != value else value)
-            for label, value in estimates.items()
-        }
-        if any(value is not None for value in cleaned.values()):
-            snapshot[name] = cleaned
-    return snapshot
+        filled = 0
+        for sidecar, slots, n_rows in sidecars:
+            if name not in slots:
+                continue
+            member, row, mask_row = slots[name]
+            values = valid_values(
+                sidecar.read_rows(member, row, 0, n_rows),
+                sidecar.read_rows("masks", mask_row, 0, n_rows),
+            )
+            gathered[filled : filled + len(values)] = values
+            filled += len(values)
+        if filled:
+            quantiles[name] = column_quantiles(gathered[:filled], reducer.quantiles)
+    return quantiles
 
 
 def _load_shard_frame(store: ArtifactStore, key: str) -> Frame | None:
@@ -563,6 +605,7 @@ def _flush_shard(
             assembly_s=assembly_s,
             flush_bytes=flush_bytes,
             quarantined=n_quarantined,
+            checksum=checksum,
         )
     entry: dict[str, Any] = {
         "index": shard.index,
@@ -627,6 +670,7 @@ def _reload_shard(
         artifact_key=artifact_key,
         reloaded=True,
         quarantined=quarantined,
+        checksum=checksum if isinstance(checksum, str) else None,
     )
     return outcome, frame
 
@@ -679,6 +723,7 @@ def _recover_shard(
         failures=(),
         artifact_key=artifact_key,
         reloaded=True,
+        checksum=checksum,
     )
     return outcome, frame
 
@@ -1105,6 +1150,16 @@ def _stream_campaign(
         shard_size=shard_size,
         workers=n_workers,
     )
+
+    def reflush(index: int) -> ShardOutcome:
+        # Only torn artifacts come back here, so re-keying the expansion up
+        # to the shard is a fault-path cost; budget 0 keeps it cache-only.
+        shard = next(islice(iter_shards(spec, catalog, shard_size=shard_size), index, None))
+        outcome, _ = _flush_shard(
+            shard, store, config, batch, catalog, 0, retry=retry, quarantined=quarantined_keys
+        )
+        return outcome
+
     tracer = get_tracer()
     with tracer.span("campaign.stream", name=spec.name, n_shards=n_shards):
         for shard in iter_shards(spec, catalog, shard_size=shard_size):
@@ -1162,10 +1217,11 @@ def _stream_campaign(
                 units_per_s=(outcome.n_units / wall_s) if wall_s > 0 else None,
                 rows_total=reducer.n_rows,
                 n_shards=n_shards,
-                quantiles=_jsonable_quantiles(reducer),
+                quantiles=reducer.last_quantiles,
             )
             if progress is not None:
                 progress(outcome, n_shards)
+        quantiles = _campaign_quantiles(store, outcomes, reducer, reflush)
 
     # Latest quarantine record per key: what the result reports as excluded.
     quarantine_records: dict[str, tuple[str, str]] = {}
@@ -1186,6 +1242,7 @@ def _stream_campaign(
         failed=len(failures),
         quarantined=len(quarantine_records),
         rows_total=reducer.n_rows,
+        quantiles=quantiles,
     )
     return StreamingCampaignResult(
         total_units=total_units,
@@ -1194,7 +1251,7 @@ def _stream_campaign(
         simulated=simulated,
         failures=tuple(failures),
         shards=tuple(outcomes),
-        aggregate=reducer.to_frame(),
+        aggregate=reducer.to_frame(quantiles),
         store_directory=str(store.directory),
         n_workers=n_workers,
         quarantined=tuple(quarantine_records.values()),

@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     cquery.add_argument("--explain", action="store_true",
                         help="print the optimized plan instead of executing it")
     cwatch = csub.add_parser(
-        "watch", help="live per-shard progress, throughput and streaming "
+        "watch", help="live per-shard progress, throughput and exact "
                       "quantiles of a campaign store"
     )
     cwatch.add_argument("--store", required=True, help="campaign store directory")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     cwatch.add_argument("--interval", type=float, default=2.0,
                         help="seconds between repaints (default: 2)")
     cwatch.add_argument("--metric", default=None,
-                        help="frame column whose streaming quantiles to show "
+                        help="frame column whose quantiles to show "
                              "(default: the headline efficiency metric)")
     cwatch.add_argument("--width", type=_positive_int, default=72,
                         help="render width in characters (default: 72)")

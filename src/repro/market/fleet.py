@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import CatalogError
+from ..parser.validation import MAX_PLAUSIBLE_CORES
 from ..powermodel.cpu import Vendor
 from ..units import MonthDate
 from .anomalies import AnomalyKind, AnomalyPlan, default_anomaly_plan
@@ -245,6 +246,12 @@ class FleetSampler:
             if rng.random() < 0.55:
                 nodes = int(rng.choice([2, 4, 8, 16], p=[0.25, 0.40, 0.25, 0.10]))
                 sockets = int(rng.choice([1, 2], p=[0.3, 0.7]))
+                # A clean plan must pass validation: halve an oversized
+                # cluster rather than redraw, so no extra random numbers are
+                # consumed and every plan within the limit stays unchanged.
+                cores = self.catalog.get(plan.cpu_model).cpu.cores * sockets
+                while nodes > 2 and nodes * cores > MAX_PLAUSIBLE_CORES:
+                    nodes //= 2
             else:
                 nodes = 1
                 sockets = int(rng.choice([4, 8], p=[0.8, 0.2]))

@@ -1,4 +1,4 @@
-"""Zero-dependency observability: tracing, metrics and streaming sketches.
+"""Zero-dependency observability: tracing, metrics, profiling and alerts.
 
 The telemetry plane of the pipeline, deliberately decoupled from what it
 observes:
@@ -10,9 +10,6 @@ observes:
   ``benchmarks/test_bench_obs.py``).
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and mergeable
   fixed-edge histograms.
-* :mod:`repro.obs.sketch` — streaming P² quantile sketches: exact below a
-  buffer threshold, five-marker P² estimators above it, mergeable either
-  way.  :mod:`repro.campaign.reduce` folds them into campaign aggregates.
 * :mod:`repro.obs.profile` — per-span self-time aggregation over an event
   log (``spectrends profile report``).
 * :mod:`repro.obs.watch` — live rendering of a running campaign store
@@ -29,7 +26,6 @@ stays importable from inside :mod:`repro.campaign` without a cycle.
 """
 
 from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from .sketch import P2Quantile, QuantileSketch
 from .trace import JsonlSink, Span, Tracer, configure_tracing, get_tracer
 
 __all__ = [
@@ -37,8 +33,6 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "StreamingHistogram",
-    "P2Quantile",
-    "QuantileSketch",
     "JsonlSink",
     "Span",
     "Tracer",

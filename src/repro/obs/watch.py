@@ -6,8 +6,9 @@
 * the unit/shard progress the store's own ``status`` reports,
 * a per-shard completion strip (one glyph per shard),
 * a throughput sparkline over the ``shard_flush`` event stream,
-* the latest streaming P² quantile estimates of one metric column, with a
-  sparkline of its median as the campaign advances,
+* the exact quantiles of one metric column — the last flushed shard's
+  mid-run, the whole campaign's once a pass over every shard completes —
+  with a sparkline of the per-shard median,
 * threshold/drift alerts over the per-shard telemetry.
 
 Everything here is a *reader* of campaign state: watch can attach to a
@@ -54,6 +55,24 @@ def _pick_metric(quantiles: dict[str, Any], metric: str | None) -> str | None:
         if name not in _AXIS_COLUMNS:
             return name
     return next(iter(quantiles), None)
+
+
+def _whole_campaign_quantiles(events: list[dict[str, Any]]) -> dict[str, Any] | None:
+    """Whole-campaign quantiles, if the latest pass covered every shard.
+
+    Every pass ends in ``campaign_complete``, capped ones too; only a pass
+    that folded all ``n_shards`` shards, with no flush after it, speaks for
+    the whole campaign.
+    """
+    for event in reversed(events):
+        kind = event.get("event")
+        if kind == "shard_flush":
+            return None
+        if kind == "campaign_complete":
+            if event.get("shards") != event.get("n_shards"):
+                return None
+            return event.get("quantiles")
+    return None
 
 
 def _shard_states(entries: dict[int, dict[str, Any]], total: int) -> list[str]:
@@ -125,13 +144,17 @@ def render_watch_frame(
             history = [
                 (e.get("quantiles") or {}).get(chosen, {}).get("p50") for e in flushes
             ]
-            estimates = quantiles.get(chosen) or {}
+            final = _whole_campaign_quantiles(events)
+            if final is not None:
+                scope, estimates = "campaign", final.get(chosen) or {}
+            else:
+                scope, estimates = "last shard", quantiles.get(chosen) or {}
             summary = "  ".join(
                 f"{label}={_fmt(value)}" for label, value in estimates.items()
             )
             lines.append(f"metric  {chosen}")
             lines.append(f"p50     {ascii_sparkline(history, width=strip_width)}")
-            lines.append(f"  streaming quantiles: {summary or '(none)'}")
+            lines.append(f"  {scope} quantiles: {summary or '(none)'}")
         engine = AlertEngine(*default_watch_rules())
         raised: list[Alert] = []
         for event in flushes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .fields import RunRecord
 
-__all__ = ["ValidationIssue", "ValidationReport", "validate_run"]
+__all__ = ["MAX_PLAUSIBLE_CORES", "ValidationIssue", "ValidationReport", "validate_run"]
 
 #: Hardware availability dates outside this window are implausible: the
 #: benchmark targets servers sold between the early 2000s and "shortly after
@@ -20,8 +20,9 @@ __all__ = ["ValidationIssue", "ValidationReport", "validate_run"]
 _PLAUSIBLE_YEARS = (2004, 2026)
 
 #: No x86 server sold in the covered period had more than this many cores in
-#: a single submission (1024 already allows 16-node blade chassis).
-_MAX_PLAUSIBLE_CORES = 4096
+#: a single submission (1024 already allows 16-node blade chassis).  The
+#: fleet sampler sizes multi-node plans against the same limit.
+MAX_PLAUSIBLE_CORES = 4096
 _MAX_PLAUSIBLE_THREADS_PER_CORE = 8
 
 
@@ -76,7 +77,7 @@ def _core_thread_issues(record: RunRecord) -> list[ValidationIssue]:
     threads = record.threads_total
     per_core = record.threads_per_core
 
-    if cores is not None and (cores < 1 or cores > _MAX_PLAUSIBLE_CORES):
+    if cores is not None and (cores < 1 or cores > MAX_PLAUSIBLE_CORES):
         issues.append(ValidationIssue.IMPLAUSIBLE_CORE_COUNT)
         return issues
     if per_core is not None and not 1 <= per_core <= _MAX_PLAUSIBLE_THREADS_PER_CORE:

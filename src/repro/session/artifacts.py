@@ -37,6 +37,9 @@ __all__ = [
     "digest_tree",
 ]
 
+#: Read size of the streamed sidecar checksum (bounds its resident bytes).
+_DIGEST_BLOCK = 64 * 1024
+
 
 def canonical_json(value: Any) -> Any:
     """Make a value JSON-canonical (tuples → lists, stable key order).
@@ -219,13 +222,17 @@ class ArtifactStore:
         instead of being adopted.
         """
         path = self.sidecar_path(key)
+        digest = hashlib.sha256()
         try:
-            data = path.read_bytes()
+            # Fixed-size blocks: hashing never holds the whole sidecar.
+            with open(path, "rb") as handle:
+                for block in iter(lambda: handle.read(_DIGEST_BLOCK), b""):
+                    digest.update(block)
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise self.error(f"unreadable cache sidecar {path}: {exc}") from exc
-        return hashlib.sha256(data).hexdigest()
+        return digest.hexdigest()
 
     def clear(self) -> int:
         """Delete every entry (sidecars included); returns entries removed."""

@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import ArtifactError
 from ..frame import Column, Frame
 
-__all__ = ["frame_to_arrays", "frame_from_arrays"]
+__all__ = ["frame_to_arrays", "frame_from_arrays", "numeric_slots"]
 
 _KIND_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
 
@@ -79,6 +79,22 @@ def frame_to_arrays(frame: Frame) -> tuple[list[dict[str, str]], dict[str, np.nd
         if stacks[kind]:
             arrays[kind] = np.vstack(stacks[kind])
     return meta, arrays
+
+
+def numeric_slots(meta: list[Mapping[str, Any]]) -> dict[str, tuple[str, int, int]]:
+    """Where each numeric column of a packed sidecar lives.
+
+    Maps each ``float``/``int`` column of ``meta`` to ``(member, row,
+    mask_row)``: its row in that kind's stacked member and in ``masks``.
+    """
+    rows = {"float": 0, "int": 0}
+    slots: dict[str, tuple[str, int, int]] = {}
+    for index, spec in enumerate(meta):
+        kind = str(spec["kind"])
+        if kind in rows:
+            slots[str(spec["name"])] = (kind, rows[kind], index)
+            rows[kind] += 1
+    return slots
 
 
 def frame_from_arrays(

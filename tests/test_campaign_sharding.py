@@ -20,9 +20,16 @@ from repro.campaign import (
     run_campaign,
     stream_campaign,
 )
+from repro.campaign.reduce import (
+    DEFAULT_QUANTILES,
+    column_quantiles,
+    quantile_label,
+    valid_values,
+)
 from repro.cli.main import main as cli_main
 from repro.errors import CampaignError, SessionError
 from repro.frame import Frame
+from repro.frame.mmapio import SCAN_STATS
 from repro.session import Session
 from repro.session.policy import ExecutionPolicy
 
@@ -38,6 +45,18 @@ def sharded_spec(name="shard-test", seeds=(1, 2, 3, 4, 5, 6)) -> CampaignSpec:
         sweep={"cpu_model": GENERATIONS, "seed": list(seeds)},
         base=FAST_BASE,
     )
+
+
+def gathered_quantiles(frames, names) -> dict:
+    """Each column's quantiles over its valid values gathered across frames."""
+    return {
+        name: column_quantiles(
+            np.concatenate(
+                [valid_values(f[name].values, f[name].mask) for f in frames if name in f]
+            )
+        )
+        for name in names
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -166,11 +185,16 @@ class TestFrameReducer:
             }
         )
         streamed = FrameReducer()
+        chunks = []
         for start in range(0, 90, 17):
             mask = np.zeros(90, dtype=bool)
             mask[start : start + 17] = True
-            streamed.update(frame.filter(mask))
-        assert streamed.to_frame().equals(reduce_frame(frame))
+            chunks.append(frame.filter(mask))
+            streamed.update(chunks[-1])
+        # Moments fold chunk by chunk; quantiles are taken once over the
+        # values gathered column by column, as the finalize pass does.
+        quantiles = gathered_quantiles(chunks, streamed.columns)
+        assert streamed.to_frame(quantiles).equals(reduce_frame(frame))
 
     def test_string_columns_excluded(self):
         frame = Frame.from_dict({"name": ["a", "b"], "value": [1.0, 2.0]})
@@ -514,6 +538,95 @@ class TestMultiWorker:
         clean = stream_campaign(spec, tmp_path / "clean", shard_size=2)
         assert finalized.frame().equals(clean.frame())
         assert finalized.aggregate.equals(clean.aggregate)
+
+
+# --------------------------------------------------------------------------- #
+# Exact quantiles past 256 values per column
+# --------------------------------------------------------------------------- #
+def large_spec(name="exact-quantiles") -> CampaignSpec:
+    """300 noisy two-level units: every measured column holds 300 values."""
+    return CampaignSpec(
+        name=name,
+        sweep={"cpu_model": ["EPYC 9654", "Xeon Platinum 8480+"], "seed": list(range(150))},
+        base={"load_levels": [1.0, 0.0]},
+    )
+
+
+@pytest.fixture(scope="module")
+def large_campaign(tmp_path_factory):
+    """One unsharded run plus streamed runs over a shared unit cache."""
+    root = tmp_path_factory.mktemp("exact-quantiles")
+    spec = large_spec()
+    runs = {"flat": run_campaign(spec, root / "flat"), "results": root / "results"}
+    for label, shard_size, workers in (("s128", 128, None), ("s37", 37, None), ("w2", 64, 2)):
+        runs[label] = stream_campaign(
+            spec, root / label, shard_size=shard_size, workers=workers,
+            results_dir=runs["results"],
+        )
+    return runs
+
+
+def numeric_columns(frame) -> list[str]:
+    return [name for name in frame.columns if frame[name].kind in ("float", "int")]
+
+
+class TestExactQuantiles:
+    def test_aggregate_quantiles_equal_numpy_over_valid_values(self, large_campaign):
+        frame = large_campaign["flat"].frame
+        rows = {row["column"]: row for row in large_campaign["s128"].aggregate.to_records()}
+        assert set(rows) == set(numeric_columns(frame))
+        past_buffer = 0
+        for name, row in rows.items():
+            values = valid_values(frame[name].values, frame[name].mask)
+            past_buffer += len(values) > 256
+            for q in DEFAULT_QUANTILES:
+                expected = float(np.quantile(values, q)) if len(values) else None
+                assert row[quantile_label(q)] == expected, (name, q)
+        assert past_buffer >= 20
+
+    def test_aggregate_bit_identical_across_layouts_and_workers(self, large_campaign):
+        reference = reduce_frame(large_campaign["flat"].frame)
+        for label in ("s128", "s37", "w2"):
+            assert large_campaign[label].aggregate.equals(reference), label
+        assert large_campaign["w2"].n_workers == 2
+
+    def test_shard_events_carry_each_shards_exact_quantiles(self, large_campaign):
+        result = large_campaign["s37"]
+        events = CampaignStore(result.store_directory).event_entries()
+        flushes = [e for e in events if e["event"] == "shard_flush"]
+        frames = list(result.iter_frames())
+        assert [e["index"] for e in flushes] == list(range(len(frames))) == list(range(9))
+        for event, frame in zip(flushes, frames):
+            for name in numeric_columns(frame):
+                values = valid_values(frame[name].values, frame[name].mask)
+                if not len(values):
+                    assert name not in event["quantiles"]
+                    continue
+                for q in DEFAULT_QUANTILES:
+                    label = quantile_label(q)
+                    assert event["quantiles"][name][label] == float(np.quantile(values, q))
+
+    def test_campaign_complete_event_carries_the_aggregate_quantiles(self, large_campaign):
+        result = large_campaign["s128"]
+        events = CampaignStore(result.store_directory).event_entries()
+        final = events[-1]
+        assert final["event"] == "campaign_complete"
+        for row in result.aggregate.to_records():
+            expected = {quantile_label(q): row[quantile_label(q)] for q in DEFAULT_QUANTILES}
+            if row["p50"] is None:
+                assert row["column"] not in final["quantiles"]
+            else:
+                assert final["quantiles"][row["column"]] == expected
+
+    def test_finalize_reads_one_column_and_its_mask_at_a_time(self, large_campaign, tmp_path):
+        # Every unit is a cache hit, so the only .npz reads are the finalize
+        # pass: 8 bytes of values plus 1 byte of mask per row and column.
+        SCAN_STATS.reset()
+        result = stream_campaign(
+            large_spec(), tmp_path / "s", shard_size=100, results_dir=large_campaign["results"]
+        )
+        assert result.simulated == 0
+        assert SCAN_STATS.bytes_read == len(result.aggregate) * result.completed * (8 + 1)
 
 
 # --------------------------------------------------------------------------- #

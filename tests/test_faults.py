@@ -297,6 +297,23 @@ class TestChaosMatrix:
         assert not report.unresolved
         assert doctor_store(tmp_path / "faulty").healthy
 
+    def test_torn_flush_heals_within_the_faulty_run(self, tmp_path, clean_run):
+        # The finalize pass verifies every sidecar before reading its
+        # columns back, so the torn one is re-flushed from the unit cache:
+        # the faulty run's own aggregate is the clean one, and the store is
+        # whole again — a resume reloads every shard.
+        rules = dict(CHAOS_CASES)["shard-flush-partial-write"]
+        plan = FaultPlan.from_dict({"seed": 5, "rules": rules})
+        faulty = stream_campaign(
+            fault_spec(), tmp_path / "faulty", shard_size=4,
+            policy=ExecutionPolicy(faults=plan, retry=FAST_RETRY), retry=FAST_RETRY,
+        )
+        assert ("shard.flush", "partial_write", 1) in plan.fired
+        assert faulty.aggregate.equals(clean_run.aggregate)
+        resumed = resume_streaming(tmp_path / "faulty", retry=FAST_RETRY)
+        assert resumed.simulated == 0
+        assert all(shard.reloaded for shard in resumed.shards)
+
     def test_fired_faults_are_recorded_on_the_plan(self, tmp_path, clean_run):
         plan = FaultPlan([FaultRule(site="unit.execute", kind="raise", nth=1)])
         stream_campaign(

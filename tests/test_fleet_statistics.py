@@ -113,3 +113,22 @@ class TestDeterminismAcrossComponents:
         text_a = sorted((tmp_path / "a").glob("*.txt"))[0].read_text()
         text_b = sorted((tmp_path / "b").glob("*.txt"))[0].read_text()
         assert text_a != text_b
+
+
+class TestCleanPlansValidate:
+    def test_every_clean_plan_validates_at_seed_12030(self):
+        """A clean plan must survive validation; this seed once drew a
+        16-node x 2-socket x 192-core plan (6,144 cores) past the limit."""
+        from repro.market.fleet import sample_fleet
+        from repro.parser.validation import MAX_PLAUSIBLE_CORES
+        from repro.reportgen.records import derive_corpus_report
+
+        fleet = sample_fleet(960, seed=12030)
+        catalog = default_catalog()
+        for plan in fleet.clean:
+            cores = catalog.get(plan.cpu_model).cpu.cores * plan.sockets * plan.nodes
+            assert cores <= MAX_PLAUSIBLE_CORES, plan.run_id
+        report = derive_corpus_report("seed-12030", seed=12030, batch=True)
+        clean = {plan.file_name for plan in fleet.clean}
+        assert not clean & {rejected.file_name for rejected in report.rejected}
+        assert report.parsed_count == len(clean) == 960

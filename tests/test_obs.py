@@ -1,9 +1,8 @@
-"""The observability plane: sketches, metrics, tracing, profiling, alerts."""
+"""The observability plane: exact quantiles, metrics, tracing, profiling, alerts."""
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 
 import numpy as np
@@ -11,7 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.reduce import FrameReducer, reduce_frame
+from repro.campaign.reduce import (
+    FrameReducer,
+    column_quantiles,
+    frame_quantiles,
+    quantile_label,
+    reduce_frame,
+    valid_values,
+)
 from repro.errors import StatsError
 from repro.frame import Frame
 from repro.market.anomalies import AnomalyKind
@@ -19,8 +25,6 @@ from repro.obs import (
     Counter,
     Gauge,
     MetricsRegistry,
-    P2Quantile,
-    QuantileSketch,
     StreamingHistogram,
     Tracer,
 )
@@ -32,7 +36,6 @@ from repro.obs.alerts import (
     default_watch_rules,
 )
 from repro.obs.profile import aggregate_spans, load_events, render_profile
-from repro.obs.sketch import quantile_label
 from repro.obs.trace import JsonlSink, NullSpan, tracing_env_enabled
 
 settings.register_profile(
@@ -43,8 +46,21 @@ settings.load_profile("repro-obs")
 
 
 # --------------------------------------------------------------------------- #
-# Quantile sketches
+# Exact quantiles
 # --------------------------------------------------------------------------- #
+QS = (0.5, 0.9, 0.99)
+
+
+def gathered(*chunks) -> dict:
+    """Quantiles over the valid values of several chunks, gathered in order."""
+    parts = [valid_values(np.asarray(chunk, dtype=np.float64)) for chunk in chunks]
+    return column_quantiles(np.concatenate(parts) if parts else np.empty(0))
+
+
+def expected(values) -> dict:
+    return {quantile_label(q): float(np.quantile(values, q)) for q in QS}
+
+
 class TestQuantileLabel:
     def test_common_labels(self):
         assert quantile_label(0.5) == "p50"
@@ -56,116 +72,64 @@ class TestQuantileLabel:
 
 
 class TestQuantileSketchExactPhase:
+    """Quantiles equal ``np.quantile`` over the finite, unmasked values."""
+
     def test_matches_numpy_exactly_below_buffer(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=200)
-        sketch = QuantileSketch()
-        sketch.update(values)
-        assert not sketch.compressed
-        for q in (0.5, 0.9, 0.99):
-            assert sketch.estimate(q) == float(np.quantile(values, q))
+        values = np.random.default_rng(7).normal(size=200)
+        assert column_quantiles(values.copy()) == expected(values)
+        frame = Frame.from_dict({"value": values.tolist()})
+        assert frame_quantiles(frame)["value"] == expected(values)
 
     def test_skips_none_nan_and_masked(self):
-        sketch = QuantileSketch()
-        sketch.update([1.0, None, float("nan"), float("inf"), 3.0])
-        assert sketch.count == 2
+        frame = Frame.from_dict({"value": [1.0, None, float("nan"), float("inf"), 3.0]})
+        assert frame_quantiles(frame)["value"] == expected([1.0, 3.0])
         mask = np.array([False, True, False])
-        sketch2 = QuantileSketch()
-        sketch2.update(np.array([1.0, 2.0, 3.0]), mask=mask)
-        assert sketch2.count == 2
+        assert valid_values(np.array([1.0, 2.0, 3.0]), mask).tolist() == [1.0, 3.0]
 
     def test_empty_sketch_estimates_nan(self):
-        sketch = QuantileSketch()
-        assert math.isnan(sketch.estimate(0.5))
-
-    def test_untracked_quantile_rejected_after_compression(self):
-        sketch = QuantileSketch(quantiles=(0.5,), buffer_size=8)
-        sketch.update(range(20))
-        assert sketch.compressed
-        with pytest.raises(StatsError):
-            sketch.estimate(0.25)
+        # No valid value at all: None, like an empty accumulator's fields.
+        assert column_quantiles(np.empty(0)) == {"p50": None, "p90": None, "p99": None}
+        frame = Frame.from_dict({"value": [None, float("nan")], "other": [1.0, 2.0]})
+        assert set(frame_quantiles(frame)) == {"other"}
+        assert reduce_frame(frame).to_records()[0]["p50"] is None
 
     def test_validation(self):
         with pytest.raises(StatsError):
-            QuantileSketch(quantiles=())
+            FrameReducer(quantiles=(1.5,))
         with pytest.raises(StatsError):
-            QuantileSketch(quantiles=(1.5,))
-        with pytest.raises(StatsError):
-            QuantileSketch(buffer_size=2)
+            FrameReducer(quantiles=(0.0,))
 
 
 class TestQuantileSketchCompressed:
-    def test_compression_point(self):
-        sketch = QuantileSketch(buffer_size=16)
-        sketch.update(range(16))
-        assert not sketch.compressed
-        sketch.push(99.0)
-        assert sketch.compressed
+    """Long streams stay exact, and chunking cannot move a quantile."""
 
     def test_estimates_converge_on_large_stream(self):
-        rng = np.random.default_rng(11)
-        values = rng.normal(loc=5.0, scale=2.0, size=20_000)
-        sketch = QuantileSketch()
-        sketch.update(values)
-        assert sketch.compressed
-        for q in (0.5, 0.9, 0.99):
-            exact = float(np.quantile(values, q))
-            assert sketch.estimate(q) == pytest.approx(exact, abs=0.15)
+        values = np.random.default_rng(11).normal(loc=5.0, scale=2.0, size=20_000)
+        assert column_quantiles(values.copy()) == expected(values)
 
     def test_chunking_is_bit_invariant(self):
-        """Shard boundaries must not be observable in the estimates."""
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=1500)
-        whole = QuantileSketch()
-        whole.update(values)
-        chunked = QuantileSketch()
-        for start in range(0, len(values), 113):
-            chunked.update(values[start : start + 113])
-        for q in (0.5, 0.9, 0.99):
-            assert whole.estimate(q) == chunked.estimate(q)
-
-    def test_p2_startup_below_five_values(self):
-        p2 = P2Quantile(0.5)
-        for value in (3.0, 1.0, 2.0):
-            p2.push(value)
-        assert p2.estimate() == 2.0  # exact median of the startup buffer
+        """Shard boundaries must not be observable in the quantiles."""
+        values = np.random.default_rng(3).normal(size=1500)
+        chunks = [values[start : start + 113] for start in range(0, len(values), 113)]
+        whole = frame_quantiles(Frame.from_dict({"value": values.tolist()}))["value"]
+        assert gathered(*chunks) == whole == expected(values)
 
 
 class TestQuantileSketchMerge:
-    def test_exact_merge_equals_sorted_union(self):
-        a, b = QuantileSketch(), QuantileSketch()
-        a.update([5.0, 1.0, 3.0])
-        b.update([2.0, 4.0])
-        merged = a.merge(b)
-        union = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert merged.count == 5
-        for q in (0.5, 0.9, 0.99):
-            assert merged.estimate(q) == float(np.quantile(union, q))
+    """Quantiles over shards are quantiles over the union of their values."""
 
-    def test_mismatched_quantiles_rejected(self):
-        with pytest.raises(StatsError):
-            QuantileSketch(quantiles=(0.5,)).merge(QuantileSketch(quantiles=(0.9,)))
+    def test_exact_merge_equals_sorted_union(self):
+        union = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert gathered([5.0, 1.0, 3.0], [2.0, 4.0]) == expected(union)
 
     def test_merge_with_empty_is_identity(self):
-        a = QuantileSketch()
-        a.update([1.0, 2.0, 3.0])
-        merged = a.merge(QuantileSketch())
-        assert merged.estimate(0.5) == a.estimate(0.5)
+        assert gathered([1.0, 2.0, 3.0], []) == gathered([1.0, 2.0, 3.0])
 
     def test_compressed_merge_is_deterministic_and_close(self):
         rng = np.random.default_rng(17)
-        left = rng.normal(size=2000)
-        right = rng.normal(size=3000)
-        a, b = QuantileSketch(), QuantileSketch()
-        a.update(left)
-        b.update(right)
-        merged1, merged2 = a.merge(b), a.merge(b)
-        union = np.concatenate([left, right])
-        for q in (0.5, 0.9, 0.99):
-            assert merged1.estimate(q) == merged2.estimate(q)
-            assert merged1.estimate(q) == pytest.approx(
-                float(np.quantile(union, q)), abs=0.25
-            )
+        left, right = rng.normal(size=2000), rng.normal(size=3000)
+        first, second = gathered(left, right), gathered(left, right)
+        assert first == second == expected(np.concatenate([left, right]))
 
     @given(
         st.lists(
@@ -182,24 +146,11 @@ class TestQuantileSketchMerge:
         ),
     )
     def test_exact_merge_associativity_vs_sorted_array(self, xs, ys, zs):
-        """(a ⊔ b) ⊔ c == a ⊔ (b ⊔ c) == np.quantile of the union.
-
-        Sizes are capped so every merge stays in the exact phase, where the
-        contract is bit-exact agreement with the sorted-array reference.
-        """
-        def sketch_of(values):
-            s = QuantileSketch()
-            s.update(values)
-            return s
-
-        a, b, c = sketch_of(xs), sketch_of(ys), sketch_of(zs)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
+        """Any grouping of shards gives ``np.quantile`` of the union."""
         union = np.array(sorted(xs + ys + zs))
-        for q in (0.5, 0.9, 0.99):
-            expected = float(np.quantile(union, q))
-            assert left.estimate(q) == expected
-            assert right.estimate(q) == expected
+        want = expected(union)
+        assert gathered(xs, ys, zs) == gathered(xs + ys, zs) == gathered(xs, ys + zs) == want
+        assert frame_quantiles(Frame.from_dict({"v": xs + ys + zs}))["v"] == want
 
 
 # --------------------------------------------------------------------------- #
@@ -218,32 +169,27 @@ class TestReducerQuantiles:
         frame = Frame.from_dict({"value": [1.0, 2.0]})
         summary = reduce_frame(frame, quantiles=())
         assert "p50" not in summary.columns
+        reducer = FrameReducer(quantiles=())
+        reducer.update(frame)
+        assert reducer.last_quantiles == {}
 
     def test_streamed_equals_whole_with_quantiles(self):
-        rng = np.random.default_rng(5)
-        frame = Frame.from_dict({"value": rng.normal(size=700).tolist()})
+        values = np.random.default_rng(5).normal(size=700)
+        frame = Frame.from_dict({"value": values.tolist()})
         streamed = FrameReducer()
         for start in range(0, 700, 97):
-            chunk = frame.take(np.arange(start, min(start + 97, 700)))
-            streamed.update(chunk)
-        assert streamed.to_frame().equals(reduce_frame(frame))
+            streamed.update(frame.take(np.arange(start, min(start + 97, 700))))
+        whole = {"value": gathered(values)}
+        assert streamed.to_frame(whole).equals(reduce_frame(frame))
 
-    def test_reducer_merge_combines_counts_and_sketches(self):
-        left = Frame.from_dict({"value": [1.0, 2.0]})
-        right = Frame.from_dict({"value": [3.0, 4.0], "other": [5.0, 6.0]})
-        a, b = FrameReducer(), FrameReducer()
-        a.update(left)
-        b.update(right)
-        merged = a.merge(b)
-        assert merged.n_rows == 4
-        assert merged["value"].count == 4
-        assert merged["other"].count == 2
-        assert merged.sketch("value").count == 4
-        assert merged.sketch("value").estimate(0.5) == 2.5
-
-    def test_reducer_merge_quantile_mismatch_rejected(self):
-        with pytest.raises(StatsError):
-            FrameReducer(quantiles=(0.5,)).merge(FrameReducer())
+    def test_last_quantiles_describe_the_latest_frame(self):
+        reducer = FrameReducer()
+        reducer.update(Frame.from_dict({"value": [1.0, 2.0, 3.0]}))
+        reducer.update(Frame.from_dict({"value": [10.0, 20.0], "label": ["a", "b"]}))
+        assert reducer.last_quantiles == {"value": expected([10.0, 20.0])}
+        # Without whole-stream quantiles the summary reports None for them.
+        row = reducer.to_frame().to_records()[0]
+        assert row["count"] == 5 and row["p50"] is None
 
 
 # --------------------------------------------------------------------------- #

@@ -44,6 +44,8 @@ class TestStoreEvents:
         names = [e["event"] for e in events]
         assert names[0] == "campaign_start"
         assert names[-1] == "campaign_complete"
+        final = events[-1]["quantiles"]["overall_ssj_ops_per_watt"]
+        assert set(final) == {"p50", "p90", "p99"}
         flushes = [e for e in events if e["event"] == "shard_flush"]
         assert [e["index"] for e in flushes] == [0, 1, 2]
         first = flushes[0]
@@ -96,12 +98,14 @@ class TestRenderWatchFrame:
         assert "██·" in frame
         assert "units/s" in frame
         assert "metric  overall_ssj_ops_per_watt" in frame
-        assert "streaming quantiles: p50=" in frame
+        # Two of three shards flushed: the line shows the last shard's.
+        assert "last shard quantiles: p50=" in frame
 
     def test_completed_frame(self, finished_store):
         frame = render_watch_frame(finished_store)
         assert "shards: 3/3 complete" in frame
         assert "███" in frame and "·" not in frame.splitlines()[2]
+        assert "campaign quantiles: p50=" in frame
 
     def test_explicit_metric_selected_and_validated(self, finished_store):
         frame = render_watch_frame(finished_store, metric="power_100")
@@ -164,7 +168,7 @@ class TestWatchCli:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "shards: 3/3 complete" in out
-        assert "streaming quantiles" in out
+        assert "campaign quantiles" in out
 
     def test_campaign_watch_bad_metric_exits_2(self, finished_store, capsys):
         exit_code = cli_main(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, reduce_frame, run_campaign, stream_campaign
@@ -166,6 +167,25 @@ class TestServiceLifecycle:
             CampaignSpec.from_dict(payload), tmp_path / "serial", shard_size=2
         )
         assert result["aggregate"] == local.aggregate.to_dict()
+
+    def test_finalize_reports_exact_quantiles_past_256_units(self, client, tmp_path):
+        # The finalizer reads each column back from the job's shard
+        # artifacts: its aggregate is the unsharded reduction, quantiles
+        # included, even though no single shard holds every value.
+        payload = CampaignSpec(
+            name="svc-exact",
+            sweep={"cpu_model": ["EPYC 9654", "Xeon X5670"], "seed": list(range(500, 650))},
+            base={"load_levels": [1.0, 0.0]},
+        ).to_dict()
+        result = client.wait(client.submit(payload, shard_size=128)["job"])
+        assert result["completed"] == 300
+        unsharded = run_campaign(CampaignSpec.from_dict(payload), tmp_path / "flat")
+        assert result["aggregate"] == reduce_frame(unsharded.frame).to_dict()
+        column = unsharded.frame["overall_ssj_ops_per_watt"]
+        values = column.values[~column.mask]
+        row = result["aggregate"]["column"].index("overall_ssj_ops_per_watt")
+        for label, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert result["aggregate"][label][row] == float(np.quantile(values, q))
 
 
 class TestServiceShutdown:
