@@ -22,14 +22,19 @@ from dataclasses import asdict
 from typing import Any, Mapping
 
 from ..errors import CampaignError
-from ..session.artifacts import ArtifactStore, canonical_json, digest_json
+from ..session.artifacts import ArtifactStore, canonical_json
 from ..simulator.director import SimulationOptions
 
-__all__ = ["SCHEMA_VERSION", "entry_digest", "unit_key", "ResultCache"]
+__all__ = ["SCHEMA_VERSION", "encode_options", "entry_digest", "unit_key", "ResultCache"]
 
 #: Bump when the stored row layout or the key derivation changes; old cache
 #: entries then miss instead of surfacing stale rows.
 SCHEMA_VERSION = 1
+
+
+def _canonical_text(value: Any) -> str:
+    """The canonical JSON text :func:`~repro.session.artifacts.digest_json` hashes."""
+    return json.dumps(canonical_json(value), sort_keys=True, separators=(",", ":"))
 
 
 def entry_digest(entry: Any) -> str:
@@ -39,27 +44,40 @@ def entry_digest(entry: Any) -> str:
     differing in the silicon behind it (TDP, power profile, throughput)
     produce distinct cache entries.
     """
-    canonical = json.dumps(canonical_json(asdict(entry)), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_canonical_text(asdict(entry)).encode("utf-8")).hexdigest()[:16]
 
 
-def unit_key(params: Mapping[str, Any], options: SimulationOptions) -> str:
-    """Stable content hash of a resolved unit.
+def encode_options(options: SimulationOptions) -> str:
+    """The canonical JSON text of ``options``, as :func:`unit_key` hashes it.
 
-    ``params`` must already contain every resolved plan field and the seed;
-    the options dataclass is flattened field-by-field so that adding an
+    The options dataclass is flattened field-by-field so that adding an
     option with a new default changes keys only for non-default values —
     defaults are serialised too, which keeps the hash honest when defaults
     themselves change (SCHEMA_VERSION guards that case).
     """
-    return digest_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "params": canonical_json(params),
-            "options": canonical_json(asdict(options)),
-        }
+    return _canonical_text(asdict(options))
+
+
+def unit_key(
+    params: Mapping[str, Any],
+    options: SimulationOptions,
+    encoded_options: str | None = None,
+) -> str:
+    """Stable content hash of a resolved unit.
+
+    ``params`` must already contain every resolved plan field and the seed.
+    ``encoded_options`` is ``encode_options(options)`` when the caller has
+    it already: an expansion encodes each distinct options value once.
+    """
+    if encoded_options is None:
+        encoded_options = encode_options(options)
+    # digest_json({"schema": ..., "params": ..., "options": ...}) with the
+    # options text spliced in: keys sorted, compact separators.
+    payload = (
+        f'{{"options":{encoded_options},"params":{_canonical_text(params)},'
+        f'"schema":{SCHEMA_VERSION}}}'
     )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class ResultCache(ArtifactStore):

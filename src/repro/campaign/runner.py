@@ -2,11 +2,15 @@
 
 The workers are module-level functions of one picklable payload tuple, so
 the process back-end of :mod:`repro.parallel` can ship them to a pool.  Each
-unit is simulated, rendered to SPEC-report text and parsed back through the
-production parser/validator — the same round-trip the corpus pipeline uses —
-so campaign rows are bit-for-bit the schema :func:`repro.core.dataset`
-produces.  Worker failures are captured per unit and recorded in the store
-ledger; one bad scenario never aborts the campaign.
+unit is simulated and its row derived straight from the simulated result
+(:func:`repro.reportgen.records.derive_record`), then checked by the
+production validator.  Derivation reproduces, field for field, what
+rendering the SPEC-report text and parsing it back would give, so campaign
+rows are bit-for-bit the schema :func:`repro.core.dataset` produces.  That
+text route (:func:`_text_roundtrip_result`) stays here as the reference the
+tests hold derivation to; no campaign runs it.  Worker failures are
+captured per unit and recorded in the store ledger; one bad scenario never
+aborts the campaign.
 
 Execution strategy: by default each worker simulates its whole chunk of
 units through the vectorized :class:`~repro.simulator.batch.BatchDirector`
@@ -22,14 +26,17 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from ..errors import ReproError
 from ..faults.plan import fault_point
 from ..frame import Frame
 from ..market.catalog import Catalog, default_catalog
 from ..parallel import ParallelConfig, parallel_map
+from ..parser.fields import RunRecord
 from ..parser.resultfile import parse_result_text
 from ..parser.validation import validate_run
+from ..reportgen import records
 from ..reportgen.textreport import render_report
 from ..session.policy import ExecutionPolicy
 from ..simulator.batch import BatchDirector
@@ -77,16 +84,34 @@ class CampaignResult:
 # Worker (module-level: the process back-end pickles it by reference)
 # --------------------------------------------------------------------------- #
 def _roundtrip_result(key: str, plan, result) -> tuple[str, dict | None, str | None]:
-    """Render, re-parse and validate one simulated run into a cache row."""
+    """Derive and validate one simulated run into a cache row."""
+    return _checked_row(key, lambda: records.derive_record(result))
+
+
+def _text_roundtrip_result(key: str, plan, result) -> tuple[str, dict | None, str | None]:
+    """The same row through the report text: render, parse back, validate.
+
+    The reference :func:`_roundtrip_result` must match outcome for outcome.
+    """
+    return _checked_row(
+        key,
+        lambda: parse_result_text(render_report(result), file_name=plan.file_name).record,
+    )
+
+
+def _checked_row(
+    key: str, make_record: Callable[[], RunRecord]
+) -> tuple[str, dict | None, str | None]:
+    """``(key, row, error)`` of one unit: its validated record, or why not."""
     try:
         # Inside the try: a raise-kind fault becomes a per-unit error row on
         # both the scalar and the vectorized batch path, like a real failure.
         fault_point("unit.execute", ctx=key)
-        parsed = parse_result_text(render_report(result), file_name=plan.file_name)
-        report = validate_run(parsed.record)
+        record = make_record()
+        report = validate_run(record)
         if not report.is_valid:
             return key, None, f"validation: {report.primary_issue}"
-        return key, parsed.record.to_dict(), None
+        return key, record.to_dict(), None
     except ReproError as exc:
         return key, None, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -68,7 +68,7 @@ from ..session.columnar import frame_from_arrays, frame_to_arrays, numeric_slots
 from ..session.policy import ExecutionPolicy
 from .aggregate import FrameAccumulator, annotate_row
 from .leases import DEFAULT_LEASE_TTL, LeaseHeartbeat, LeaseLedger
-from .reduce import FrameReducer, Quantiles, column_quantiles, valid_values
+from .reduce import FrameReducer, Quantiles, column_quantiles, quantile_label, valid_values
 from .spec import CampaignSpec, CampaignUnit
 from .store import CampaignStore
 
@@ -384,6 +384,11 @@ def _campaign_quantiles(
         if filled:
             quantiles[name] = column_quantiles(gathered[:filled], reducer.quantiles)
     return quantiles
+
+
+def _event_quantiles(quantiles: dict[str, Quantiles]) -> dict[str, list[float | None]]:
+    """``{column: [p50, p90, p99]}``: values in the reducer's quantile order."""
+    return {name: list(values.values()) for name, values in quantiles.items()}
 
 
 def _load_shard_frame(store: ArtifactStore, key: str) -> Frame | None:
@@ -1160,6 +1165,11 @@ def _stream_campaign(
         )
         return outcome
 
+    # Events carry quantiles compactly: one label list per event, one value
+    # list per column (``campaign watch`` also reads the older
+    # ``{column: {label: value}}`` form).
+    quantile_labels = [quantile_label(q) for q in reducer.quantiles]
+
     tracer = get_tracer()
     with tracer.span("campaign.stream", name=spec.name, n_shards=n_shards):
         for shard in iter_shards(spec, catalog, shard_size=shard_size):
@@ -1217,7 +1227,8 @@ def _stream_campaign(
                 units_per_s=(outcome.n_units / wall_s) if wall_s > 0 else None,
                 rows_total=reducer.n_rows,
                 n_shards=n_shards,
-                quantiles=reducer.last_quantiles,
+                quantile_labels=quantile_labels,
+                quantiles=_event_quantiles(reducer.last_quantiles),
             )
             if progress is not None:
                 progress(outcome, n_shards)
@@ -1232,6 +1243,11 @@ def _stream_campaign(
                 str(entry.get("unit_id", key[:16])),
                 str(entry.get("error", "unknown error")),
             )
+    # A one-shard pass's campaign quantiles are its shard's, which its
+    # shard_flush event already carries; ``campaign watch`` reads them there.
+    repeated = {}
+    if len(outcomes) != 1:
+        repeated = {"quantile_labels": quantile_labels, "quantiles": _event_quantiles(quantiles)}
     store.record_event(
         "campaign_complete",
         name=spec.name,
@@ -1242,7 +1258,7 @@ def _stream_campaign(
         failed=len(failures),
         quarantined=len(quarantine_records),
         rows_total=reducer.n_rows,
-        quantiles=quantiles,
+        **repeated,
     )
     return StreamingCampaignResult(
         total_units=total_units,

@@ -27,7 +27,7 @@ from ..market.catalog import Catalog, CatalogEntry, default_catalog
 from ..market.fleet import SystemPlan
 from ..simulator.director import SimulationOptions
 from ..units import MonthDate
-from .cache import entry_digest, unit_key
+from .cache import encode_options, entry_digest, unit_key
 
 __all__ = ["PLAN_AXES", "OPTION_AXES", "CampaignUnit", "CampaignSpec"]
 
@@ -85,6 +85,23 @@ class CampaignUnit:
     def describe(self) -> str:
         parts = ", ".join(f"{name}={value}" for name, value in self.params.items())
         return f"{self.unit_id} ({parts})"
+
+
+@dataclass
+class _ExpansionMemo:
+    """Work one expansion shares across its units.
+
+    An expansion resolves against one catalog and a few options values, so
+    each catalog entry is digested, and each options value built and
+    encoded, once per expansion rather than once per unit.
+    """
+
+    #: CPU model -> :func:`entry_digest` of its catalog entry.
+    digests: dict[str, str] = field(default_factory=dict)
+    #: Ids of the option axis values -> (options, :func:`encode_options` text).
+    options: dict[tuple[int, ...], tuple[SimulationOptions, str]] = field(
+        default_factory=dict
+    )
 
 
 def _default_sockets(entry: CatalogEntry) -> int:
@@ -206,7 +223,11 @@ class CampaignSpec:
             yield dict(zip(axes, row))
 
     def _resolve_unit(
-        self, index: int, assignment: dict[str, Any], catalog: Catalog
+        self,
+        index: int,
+        assignment: dict[str, Any],
+        catalog: Catalog,
+        memo: _ExpansionMemo,
     ) -> CampaignUnit:
         params = dict(self.base)
         params.update(assignment)
@@ -229,10 +250,21 @@ class CampaignSpec:
         )
         seed = int(params.get("seed", 2024))
 
-        option_kwargs = {
-            axis: params[axis] for axis in OPTION_AXES if axis in params
-        }
-        options = SimulationOptions(**option_kwargs)
+        option_axes = [axis for axis in OPTION_AXES if axis in params]
+        # Option values are the spec's own objects (from ``base`` or a
+        # ``sweep`` tuple), alive for the whole expansion, so their ids name
+        # one options value exactly; equality would conflate 120 with 120.0,
+        # whose keys differ.
+        token = tuple(id(params[axis]) for axis in option_axes)
+        memoized = memo.options.get(token)
+        if memoized is None:
+            options = SimulationOptions(**{axis: params[axis] for axis in option_axes})
+            memoized = memo.options[token] = (options, encode_options(options))
+        options, encoded_options = memoized
+
+        digest = memo.digests.get(cpu_model)
+        if digest is None:
+            digest = memo.digests[cpu_model] = entry_digest(entry)
 
         resolved = {
             "cpu_model": cpu_model,
@@ -243,9 +275,9 @@ class CampaignSpec:
             # The simulated result depends on the catalog entry behind the
             # model name, not just the name: a custom catalog with the same
             # model but different silicon must miss the cache.
-            "catalog_entry": entry_digest(entry),
+            "catalog_entry": digest,
         }
-        key = unit_key(resolved, options)
+        key = unit_key(resolved, options, encoded_options)
         # The run id seeds the per-run RNG stream, so it must be a function
         # of the unit's *content* only — never of the campaign name — or the
         # same cache key could map to different simulated results.
@@ -297,9 +329,10 @@ class CampaignSpec:
         the units themselves); ``check_duplicates=False`` drops even that.
         """
         catalog = catalog or default_catalog()
+        memo = _ExpansionMemo()
         seen: dict[str, int] = {}
         for index, assignment in enumerate(self._iter_assignments()):
-            unit = self._resolve_unit(index, assignment, catalog)
+            unit = self._resolve_unit(index, assignment, catalog, memo)
             if check_duplicates:
                 if unit.key in seen:
                     raise CampaignError(

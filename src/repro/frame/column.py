@@ -38,19 +38,25 @@ def _infer_kind(values: Sequence[Any]) -> str:
 
     A single string (or other non-numeric object) forces ``"str"`` for the
     whole column, so the scan stops at the first one instead of classifying
-    the remaining values for nothing.
+    the remaining values for nothing.  Only the first value of each type is
+    classified: a column holds a handful of types however long it is.
     """
     has_float = False
     has_int = False
     has_bool = False
+    seen: set[type] = set()
     for value in values:
-        if value is None:
+        kind = type(value)
+        if kind in seen:
             continue
-        if isinstance(value, (bool, np.bool_)):
+        seen.add(kind)
+        if kind is type(None):
+            continue
+        if issubclass(kind, (bool, np.bool_)):
             has_bool = True
-        elif isinstance(value, (int, np.integer)):
+        elif issubclass(kind, (int, np.integer)):
             has_int = True
-        elif isinstance(value, (float, np.floating)):
+        elif issubclass(kind, (float, np.floating)):
             has_float = True
         else:
             return "str"
@@ -125,6 +131,10 @@ class Column:
         items = list(values)
         if kind is None:
             kind = _infer_kind(items)
+            if kind == "float":
+                return cls._inferred_floats(items)
+            if kind == "int":
+                return cls._inferred_ints(items)
         n = len(items)
         mask = np.zeros(n, dtype=bool)
         if kind == "str":
@@ -158,6 +168,36 @@ class Column:
                 else:
                     data[i] = bool(value)
         return cls(data, mask, kind)
+
+    @classmethod
+    def _inferred_floats(cls, items: list) -> "Column":
+        """``from_values`` of values inferred ``"float"``, in one conversion.
+
+        Such values are ``None``, bools, integers and floats, Python or
+        NumPy.  NumPy reads ``None`` as NaN, and only NaN inputs convert to
+        NaN otherwise, so NaN marks exactly the entries the per-value loop
+        treats as missing.  They are rewritten to the one NaN that loop
+        stores: a ``-nan`` input keeps its sign bit through the conversion.
+        """
+        data = np.array(items, dtype=np.float64)
+        mask = np.isnan(data)
+        if mask.any():
+            data[mask] = np.nan
+        return cls(data, mask, "float")
+
+    @classmethod
+    def _inferred_ints(cls, items: list) -> "Column":
+        """``from_values`` of values inferred ``"int"``, in one conversion.
+
+        Such values are ``None``, bools and integers, Python or NumPy.
+        ``int()`` first, as the per-value loop does: NumPy may wrap an
+        out-of-range NumPy scalar where a Python int raises OverflowError.
+        """
+        mask = np.array([value is None for value in items], dtype=bool)
+        data = np.array(
+            [0 if value is None else int(value) for value in items], dtype=np.int64
+        )
+        return cls(data, mask, "int")
 
     @classmethod
     def from_numpy(cls, array: np.ndarray) -> "Column":

@@ -39,8 +39,8 @@ __all__ = [
 
 
 def dumps_line(record: Mapping[str, Any]) -> str:
-    """One canonical JSONL line (sorted keys, ``str`` fallback, trailing LF)."""
-    return json.dumps(dict(record), sort_keys=True, default=str) + "\n"
+    """One canonical JSONL line (sorted keys, no spaces, ``str`` fallback, LF)."""
+    return json.dumps(dict(record), sort_keys=True, default=str, separators=(",", ":")) + "\n"
 
 
 def append_jsonl(

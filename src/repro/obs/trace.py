@@ -25,12 +25,13 @@ The module-level tracer (:func:`get_tracer`) starts disabled unless
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from pathlib import Path
 from typing import Any
+
+from ..io.jsonl import dumps_line
 
 __all__ = [
     "Span",
@@ -161,7 +162,7 @@ class JsonlSink:
         self._fd: int | None = None
 
     def emit(self, record: dict[str, Any]) -> None:
-        data = (json.dumps(record, sort_keys=True, default=str) + "\n").encode("utf-8")
+        data = dumps_line(record).encode("utf-8")
         with self._lock:
             if self._fd is None:
                 self._fd = os.open(

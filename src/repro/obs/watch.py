@@ -57,21 +57,40 @@ def _pick_metric(quantiles: dict[str, Any], metric: str | None) -> str | None:
     return next(iter(quantiles), None)
 
 
+def _quantiles_by_label(event: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """An event's quantiles as ``{column: {label: value}}``.
+
+    Events carry ``{column: [values]}`` plus one ``quantile_labels`` list;
+    stores written before that format hold the per-column dicts directly.
+    """
+    quantiles = event.get("quantiles") or {}
+    labels = event.get("quantile_labels")
+    if labels is None:
+        return quantiles
+    return {name: dict(zip(labels, values)) for name, values in quantiles.items()}
+
+
 def _whole_campaign_quantiles(events: list[dict[str, Any]]) -> dict[str, Any] | None:
     """Whole-campaign quantiles, if the latest pass covered every shard.
 
     Every pass ends in ``campaign_complete``, capped ones too; only a pass
     that folded all ``n_shards`` shards, with no flush after it, speaks for
-    the whole campaign.
+    the whole campaign.  A one-shard pass leaves its quantiles in the
+    ``shard_flush`` just before (they are the campaign's) rather than
+    repeating them.
     """
-    for event in reversed(events):
+    for position in range(len(events) - 1, -1, -1):
+        event = events[position]
         kind = event.get("event")
         if kind == "shard_flush":
             return None
         if kind == "campaign_complete":
             if event.get("shards") != event.get("n_shards"):
                 return None
-            return event.get("quantiles")
+            if "quantiles" not in event and event.get("shards") == 1:
+                flushes = (e for e in reversed(events[:position]) if e.get("event") == "shard_flush")
+                event = next(flushes, event)
+            return _quantiles_by_label(event) if "quantiles" in event else None
     return None
 
 
@@ -138,12 +157,10 @@ def render_watch_frame(
             f"  last {_fmt(last)} units/s"
         )
         latest = flushes[-1]
-        quantiles = latest.get("quantiles") or {}
+        quantiles = _quantiles_by_label(latest)
         chosen = _pick_metric(quantiles, metric)
         if chosen is not None:
-            history = [
-                (e.get("quantiles") or {}).get(chosen, {}).get("p50") for e in flushes
-            ]
+            history = [_quantiles_by_label(e).get(chosen, {}).get("p50") for e in flushes]
             final = _whole_campaign_quantiles(events)
             if final is not None:
                 scope, estimates = "campaign", final.get(chosen) or {}

@@ -8,6 +8,7 @@ scripts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,18 +18,29 @@ __all__ = ["LOAD_LEVELS", "level_field", "RunRecord"]
 #: separately as ``power_idle``).
 LOAD_LEVELS: tuple[int, ...] = (100, 90, 80, 70, 60, 50, 40, 30, 20, 10)
 
+#: ``(kind, level) -> column name`` of every per-level quantity, in the
+#: column order of :meth:`RunRecord.to_dict`.
+_LEVEL_FIELDS: dict[tuple[str, int], str] = {
+    (kind, level): f"{kind}_{level:03d}"
+    for kind in ("ssj_ops", "power", "actual_load")
+    for level in LOAD_LEVELS
+}
+
 
 def level_field(kind: str, level: int) -> str:
     """Column name for a per-level quantity.
 
     ``level_field("power", 70)`` → ``"power_070"``; zero-padding keeps the
-    columns lexicographically ordered.
+    columns lexicographically ordered.  ``level`` must be an integer:
+    ``70.0`` hashes like ``70`` but is rejected.
     """
+    try:
+        return _LEVEL_FIELDS[kind, operator.index(level)]
+    except (KeyError, TypeError):
+        pass
     if kind not in ("power", "ssj_ops", "actual_load"):
         raise ValueError(f"unknown per-level field kind {kind!r}")
-    if level not in LOAD_LEVELS:
-        raise ValueError(f"unknown load level {level}")
-    return f"{kind}_{level:03d}"
+    raise ValueError(f"unknown load level {level!r}")
 
 
 @dataclass
@@ -96,8 +108,6 @@ class RunRecord:
         per_level = row.pop("per_level")
         # Guarantee every per-level column exists, even if a level was absent
         # from the report, so frames built from many records stay rectangular.
-        for kind in ("ssj_ops", "power", "actual_load"):
-            for level in LOAD_LEVELS:
-                key = level_field(kind, level)
-                row[key] = per_level.get(key)
+        for key in _LEVEL_FIELDS.values():
+            row[key] = per_level.get(key)
         return row

@@ -180,6 +180,10 @@ class ShardTaskResult:
     wall_s: float = 0.0
 
 
+#: How often an idle pool worker checks that the service is still its parent.
+_PARENT_POLL_S = 1.0
+
+
 def _pool_worker_main(
     worker_id: str, task_queue: Any, result_queue: Any
 ) -> None:
@@ -197,10 +201,19 @@ def _pool_worker_main(
     # thread *in the parent's object graph*) — restore the default so an
     # orchestrator's kill actually kills the worker.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     stores: dict[tuple[str, str | None], CampaignStore] = {}
     while True:
         try:
-            task = task_queue.get()
+            task = task_queue.get(timeout=_PARENT_POLL_S)
+        except Empty:
+            if os.getppid() != parent:
+                # The service died without stopping the pool (SIGKILL, OOM):
+                # ``daemon=True`` only reaps workers on a clean exit, and no
+                # task or result reader will ever come back.
+                result_queue.cancel_join_thread()
+                return
+            continue
         except KeyboardInterrupt:
             # A foreground ^C signals the whole process group; idle workers
             # exit quietly — the scheduler's drain handles the rest.

@@ -41,12 +41,21 @@ __all__ = [
 _DIGEST_BLOCK = 64 * 1024
 
 
+#: Exact types :func:`canonical_json` returns unchanged without an isinstance
+#: walk (subclasses, such as enums, take the general path).
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical_json(value: Any) -> Any:
     """Make a value JSON-canonical (tuples → lists, stable key order).
 
     Values that are not JSON-native are stringified, so frozen dataclass
     trees flattened with :func:`dataclasses.asdict` hash deterministically.
     """
+    # Checked first: most values are scalars, and the ``Mapping`` test below
+    # is an ABC check several times slower than a set lookup.
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, Mapping):
         return {str(k): canonical_json(value[k]) for k in sorted(value, key=str)}
     if isinstance(value, (list, tuple)):

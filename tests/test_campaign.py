@@ -126,6 +126,50 @@ class TestSpec:
         assert loaded.to_dict() == spec.to_dict()
         assert [u.key for u in loaded.expand()] == [u.key for u in spec.expand()]
 
+    def test_expansion_digests_each_entry_and_encodes_each_options_once(self, monkeypatch):
+        from repro.campaign import spec as spec_module
+
+        digested: list[str] = []
+        encoded: list[SimulationOptions] = []
+        entry_digest, encode_options = spec_module.entry_digest, spec_module.encode_options
+
+        def counting_digest(entry):
+            digested.append(entry.cpu.model)
+            return entry_digest(entry)
+
+        def counting_encode(options):
+            encoded.append(options)
+            return encode_options(options)
+
+        monkeypatch.setattr(spec_module, "entry_digest", counting_digest)
+        monkeypatch.setattr(spec_module, "encode_options", counting_encode)
+        spec = CampaignSpec(
+            name="memo",
+            sweep={"cpu_model": GENERATIONS, "fidelity": ["analytic", "event"], "seed": [1, 2]},
+        )
+        units = spec.expand()
+        assert len(units) == 12
+        assert sorted(digested) == sorted(GENERATIONS)
+        assert [options.fidelity for options in encoded] == ["analytic", "event"]
+        # Per expansion, not per process: a second expansion digests again.
+        spec.expand()
+        assert len(digested) == 2 * len(GENERATIONS) and len(encoded) == 4
+
+    def test_equal_but_distinct_option_values_keep_their_own_keys(self):
+        # 120 == 120.0, but they encode (and so key) differently; the
+        # expansion's options memo must not hand one the other's encoding.
+        def keys(values):
+            spec = CampaignSpec(
+                name="distinct",
+                sweep={"interval_duration_s": values},
+                base={"cpu_model": "EPYC 9654"},
+            )
+            return [unit.key for unit in spec.expand()]
+
+        both = keys([120, 120.0])
+        assert both == keys([120]) + keys([120.0])
+        assert len(set(both)) == 2
+
 
 # --------------------------------------------------------------------------- #
 # Content-hash cache

@@ -1,0 +1,80 @@
+"""Campaign rows are derived from simulated results, never from report text.
+
+``derive_record`` promises the record ``parse_result_text(render_report(r))``
+would give.  The runner keeps that text route as its reference
+(``_text_roundtrip_result``); these tests hold every campaign unit of the
+default catalog to it, across the option and plan axes, and pin that a cold
+streamed campaign no longer renders or parses anything.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.campaign import CampaignSpec, runner, stream_campaign
+from repro.campaign.runner import dispatch_simulations
+from repro.market.catalog import default_catalog
+from repro.parallel import ParallelConfig
+
+MODELS = [entry.cpu.model for entry in default_catalog().entries]
+
+ORACLE_SPECS = [
+    # Option axes on a short ladder: both fidelities, noise on and off.
+    # Short intervals keep the event engine at a few ms per unit.
+    CampaignSpec(
+        name="oracle-options",
+        sweep={
+            "cpu_model": MODELS,
+            "fidelity": ["analytic", "event"],
+            "measurement_noise": [True, False],
+        },
+        base={"load_levels": [1.0, 0.6, 0.3, 0.0], "interval_duration_s": 1.0, "seed": 11},
+    ),
+    # Plan axes on the full ladder.  A 16-node, 2-socket plan of a 144- or
+    # 192-core part exceeds MAX_PLAUSIBLE_CORES, so validation rejects it.
+    CampaignSpec(
+        name="oracle-plans",
+        sweep={"cpu_model": MODELS, "nodes": [1, 16], "sockets": [1, 2]},
+        base={"seed": 12},
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_derived_rows_equal_the_text_route_for_every_unit(spec, monkeypatch):
+    derived_route = runner._roundtrip_result
+    outcomes = []
+
+    def both_routes(key, plan, result):
+        derived = derived_route(key, plan, result)
+        # repr: exact floats, NaN-safe, and the row's column order counts.
+        assert repr(derived) == repr(runner._text_roundtrip_result(key, plan, result)), key
+        outcomes.append(derived)
+        return derived
+
+    monkeypatch.setattr(runner, "_roundtrip_result", both_routes)
+    units = spec.expand()
+    dispatch_simulations(list(units), ParallelConfig(backend="serial"), True, None)
+    assert len(outcomes) == len(units)
+    errors = [error for _, _, error in outcomes if error is not None]
+    assert len(errors) < len(units)
+    if spec.name == "oracle-plans":
+        assert any("implausible_core_count" in error for error in errors)
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+def test_cold_stream_never_renders_or_parses(tmp_path, monkeypatch, batch):
+    def text_route(*args, **kwargs):
+        raise AssertionError("campaign rows must not go through report text")
+
+    monkeypatch.setattr(runner, "render_report", text_route)
+    monkeypatch.setattr(runner, "parse_result_text", text_route)
+    spec = CampaignSpec(
+        name="no-text",
+        sweep={"cpu_model": ["Xeon X5670", "EPYC 9654"], "seed": [1, 2, 3, 4]},
+        base={"load_levels": [1.0, 0.5, 0.0]},
+    )
+    result = stream_campaign(spec, tmp_path / "store", shard_size=4, batch=batch)
+    assert result.failures == ()
+    assert result.simulated == result.completed == spec.n_units
+    assert result.status == "complete"

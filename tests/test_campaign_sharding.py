@@ -95,9 +95,9 @@ class TestIterShards:
         resolved = {"n": 0}
         original = CampaignSpec._resolve_unit
 
-        def counting(self, index, assignment, catalog):
+        def counting(self, index, assignment, catalog, memo):
             resolved["n"] += 1
-            return original(self, index, assignment, catalog)
+            return original(self, index, assignment, catalog, memo)
 
         CampaignSpec._resolve_unit = counting
         try:
@@ -602,21 +602,41 @@ class TestExactQuantiles:
                 if not len(values):
                     assert name not in event["quantiles"]
                     continue
-                for q in DEFAULT_QUANTILES:
-                    label = quantile_label(q)
-                    assert event["quantiles"][name][label] == float(np.quantile(values, q))
+                assert event["quantile_labels"] == [quantile_label(q) for q in DEFAULT_QUANTILES]
+                expected = [float(np.quantile(values, q)) for q in DEFAULT_QUANTILES]
+                assert event["quantiles"][name] == expected
 
     def test_campaign_complete_event_carries_the_aggregate_quantiles(self, large_campaign):
         result = large_campaign["s128"]
         events = CampaignStore(result.store_directory).event_entries()
         final = events[-1]
         assert final["event"] == "campaign_complete"
+        assert final["quantile_labels"] == [quantile_label(q) for q in DEFAULT_QUANTILES]
         for row in result.aggregate.to_records():
-            expected = {quantile_label(q): row[quantile_label(q)] for q in DEFAULT_QUANTILES}
+            expected = [row[quantile_label(q)] for q in DEFAULT_QUANTILES]
             if row["p50"] is None:
                 assert row["column"] not in final["quantiles"]
             else:
                 assert final["quantiles"][row["column"]] == expected
+
+    def test_one_shard_pass_leaves_the_campaign_quantiles_in_its_flush(
+        self, large_campaign, tmp_path
+    ):
+        # One shard: its quantiles are the campaign's, so campaign_complete
+        # does not repeat them.
+        result = stream_campaign(
+            large_spec(), tmp_path / "s", shard_size=300, results_dir=large_campaign["results"]
+        )
+        *_, flush, final = CampaignStore(result.store_directory).event_entries()
+        assert (flush["event"], final["event"], final["shards"]) == (
+            "shard_flush", "campaign_complete", 1
+        )
+        assert "quantiles" not in final and "quantile_labels" not in final
+        assert flush["quantile_labels"] == [quantile_label(q) for q in DEFAULT_QUANTILES]
+        for row in result.aggregate.to_records():
+            if row["p50"] is not None:
+                expected = [row[quantile_label(q)] for q in DEFAULT_QUANTILES]
+                assert flush["quantiles"][row["column"]] == expected
 
     def test_finalize_reads_one_column_and_its_mask_at_a_time(self, large_campaign, tmp_path):
         # Every unit is a cache hit, so the only .npz reads are the finalize

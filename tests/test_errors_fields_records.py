@@ -1,5 +1,6 @@
 """Tests for the exception hierarchy, canonical field helpers and run records."""
 
+import numpy as np
 import pytest
 
 from repro import errors
@@ -54,6 +55,13 @@ class TestLevelField:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             level_field("power", 55)
+
+    def test_non_integer_levels_rejected(self):
+        # 70.0 == 70 and hashes alike, so a name table must not accept it.
+        for level in (70.0, "70", None):
+            with pytest.raises(ValueError):
+                level_field("power", level)
+        assert level_field("power", np.int64(70)) == "power_070"
 
     def test_load_levels_definition(self):
         assert LOAD_LEVELS[0] == 100

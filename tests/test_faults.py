@@ -656,3 +656,52 @@ class TestServiceHardening:
             proc.kill()
         assert proc.returncode == 0
         assert "draining and shutting down" in stdout
+
+    def test_sigkilled_service_takes_its_pool_workers_down(self, tmp_path):
+        # SIGKILL skips every exit handler, so ``daemon=True`` never reaps
+        # the pool; each worker must notice on its own that the service is
+        # gone instead of blocking on its task queue forever.
+        from repro.service.client import ServiceClient
+
+        root = tmp_path / "root"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.main", "serve", "--root", str(root), "--pool", "1"],
+            env=_worker_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.time() + 60
+            while not workers:
+                assert proc.poll() is None, "service exited during start-up"
+                assert time.time() < deadline, "service never reported its pool"
+                try:
+                    pool = ServiceClient.for_root(root, timeout=10.0).stats()["pool"]
+                    workers = [worker["pid"] for worker in pool if worker["pid"]]
+                except (CampaignError, OSError):
+                    pass  # address not published yet
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.time() + 5.0
+            while any(_process_running(pid) for pid in workers) and time.time() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _process_running(pid)]
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            for pid in workers:  # never leave an orphan behind, even on failure
+                if _process_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert workers and not survivors
+
+
+def _process_running(pid: int) -> bool:
+    """Whether ``pid`` is alive; an unreaped zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")

@@ -16,7 +16,7 @@ def test_dumps_line_is_one_complete_line():
     assert "\n" not in line[:-1]
     assert json.loads(line) == {"a": "x", "b": 1}
     # canonical: keys sorted so identical records are byte-identical
-    assert line == '{"a": "x", "b": 1}\n'
+    assert line == '{"a":"x","b":1}\n'
 
 
 def test_append_and_read_roundtrip(tmp_path):

@@ -44,8 +44,8 @@ class TestStoreEvents:
         names = [e["event"] for e in events]
         assert names[0] == "campaign_start"
         assert names[-1] == "campaign_complete"
-        final = events[-1]["quantiles"]["overall_ssj_ops_per_watt"]
-        assert set(final) == {"p50", "p90", "p99"}
+        assert events[-1]["quantile_labels"] == ["p50", "p90", "p99"]
+        assert len(events[-1]["quantiles"]["overall_ssj_ops_per_watt"]) == 3
         flushes = [e for e in events if e["event"] == "shard_flush"]
         assert [e["index"] for e in flushes] == [0, 1, 2]
         first = flushes[0]
@@ -53,8 +53,8 @@ class TestStoreEvents:
         assert first["wall_s"] >= 0 and first["units_per_s"] > 0
         assert first["kernel_s"] >= 0 and first["flush_bytes"] > 0
         quantiles = first["quantiles"]
-        assert "overall_ssj_ops_per_watt" in quantiles
-        assert set(quantiles["overall_ssj_ops_per_watt"]) == {"p50", "p90", "p99"}
+        assert first["quantile_labels"] == ["p50", "p90", "p99"]
+        assert len(quantiles["overall_ssj_ops_per_watt"]) == 3
         # events.jsonl must be strict JSON — no NaN literals
         for line in store.events_path.read_text().splitlines():
             json.loads(line)
@@ -121,6 +121,49 @@ class TestRenderWatchFrame:
         assert "waiting for the first flush" in frame
         with pytest.raises(CampaignError):
             render_watch_frame(tmp_path / "empty", metric="anything")
+
+    def test_events_written_before_quantile_labels_still_render(self, tmp_path):
+        # Stores from before the compact event form hold per-column dicts.
+        store = CampaignStore(tmp_path / "old")
+        store.initialize_streaming(watch_spec(), shard_size=4)
+        store.record_event("campaign_start", name="x", n_units=12, n_shards=3)
+        for index, p50 in enumerate((10.0, 20.0, 30.0)):
+            store.record_event(
+                "shard_flush", index=index, units=4, n_rows=4, units_per_s=100.0,
+                quantiles={"power_100": {"p50": p50, "p90": p50 + 1, "p99": p50 + 2}},
+            )
+        assert "last shard quantiles: p50=30  p90=31  p99=32" in render_watch_frame(
+            tmp_path / "old"
+        )
+        # Before campaign_complete carried quantiles at all: still the last shard's.
+        store.record_event("campaign_complete", shards=3, n_shards=3)
+        assert "last shard quantiles: p50=30" in render_watch_frame(tmp_path / "old")
+        store.record_event(
+            "campaign_complete", shards=3, n_shards=3,
+            quantiles={"power_100": {"p50": 20.0, "p90": 29.0, "p99": 31.9}},
+        )
+        frame = render_watch_frame(tmp_path / "old")
+        assert "metric  power_100" in frame
+        assert "campaign quantiles: p50=20  p90=29  p99=31.9" in frame
+
+    def test_one_shard_campaign_quantiles_come_from_its_flush(self, tmp_path):
+        store_dir = tmp_path / "one"
+        stream_campaign(watch_spec(seeds=(1,)), store_dir, shard_size=4)
+        *_, flush, final = CampaignStore(store_dir).event_entries()
+        assert final["shards"] == final["n_shards"] == 1 and "quantiles" not in final
+        values = flush["quantiles"]["overall_ssj_ops_per_watt"]
+        expected = "  ".join(
+            f"{label}={value:.4g}" for label, value in zip(flush["quantile_labels"], values)
+        )
+        assert f"campaign quantiles: {expected}" in render_watch_frame(store_dir)
+
+    def test_compact_events_render_each_label_with_its_value(self, finished_store):
+        final = CampaignStore(finished_store).event_entries()[-1]
+        values = final["quantiles"]["overall_ssj_ops_per_watt"]
+        expected = "  ".join(
+            f"{label}={value:.4g}" for label, value in zip(final["quantile_labels"], values)
+        )
+        assert f"campaign quantiles: {expected}" in render_watch_frame(finished_store)
 
     def test_narrow_width(self, finished_store):
         frame = render_watch_frame(finished_store, width=20)

@@ -113,6 +113,75 @@ def test_csv_round_trip(floats, strings):
             assert str(loaded) == original
 
 
+#: Values whose inferred column is built by one NumPy conversion: Python and
+#: NumPy numbers (unsigned too) past float precision and int64 range, NaNs of
+#: any sign and payload, infinities and missing values.
+numeric_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(min_value=-(2**65), max_value=2**65),
+    st.integers(min_value=2**53 - 4, max_value=2**53 + 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.integers(min_value=0, max_value=255).map(np.uint8),
+    st.integers(min_value=-128, max_value=127).map(np.int8),
+    st.floats(width=32, allow_nan=True).map(np.float32),
+    st.floats(allow_nan=True).map(np.float64),
+)
+integer_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.integers(min_value=0, max_value=65535).map(np.uint16),
+)
+
+
+def _per_value_kind(values) -> str:
+    """Kind inference one value at a time: the reference for the type scan."""
+    seen = set()
+    for value in values:
+        if value is None:
+            continue
+        if isinstance(value, (bool, np.bool_)):
+            seen.add("bool")
+        elif isinstance(value, (int, np.integer)):
+            seen.add("int")
+        elif isinstance(value, (float, np.floating)):
+            seen.add("float")
+        else:
+            return "str"
+    for kind in ("float", "int", "bool"):
+        if kind in seen:
+            return kind
+    return "float"
+
+
+def _built(values, kind=None):
+    try:
+        return Column.from_values(values, kind=kind)
+    except OverflowError as exc:  # past int64 or float range: both routes raise
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(numeric_scalars, max_size=12), st.lists(integer_scalars, max_size=12)))
+def test_inferred_column_equals_per_value_build(values):
+    kind = _per_value_kind(values)
+    inferred = _built(values)
+    reference = _built(values, kind=kind)  # an explicit kind takes the per-value loop
+    if not isinstance(reference, Column):
+        assert inferred is reference
+        return
+    assert inferred.kind == reference.kind == kind
+    assert inferred.values.dtype == reference.values.dtype
+    assert inferred.values.tobytes() == reference.values.tobytes()
+    assert inferred.mask.tobytes() == reference.mask.tobytes()
+
+
 # --------------------------------------------------------------------------- #
 # Statistics invariants
 # --------------------------------------------------------------------------- #
