@@ -15,10 +15,10 @@ correct results, end to end and across real process boundaries:
 7. assert the recovered aggregate is bit-identical to the reference,
 8. render ``campaign watch --once`` over the crashed-and-recovered store,
 9. run the deterministic fault-injection matrix: transient unit raises,
-   torn shard flushes, torn ledger appends, a poison unit driven into
-   quarantine, and an env-armed (``REPRO_FAULTS``) worker killed at a
-   flush — each must recover bit-identical to the reference and leave a
-   store that ``campaign doctor`` signs off on,
+   torn shard flushes, torn ledger and unit-cache index appends, a poison
+   unit driven into quarantine, and an env-armed (``REPRO_FAULTS``) worker
+   killed at a flush — each must recover bit-identical to the reference
+   and leave a store that ``campaign doctor`` signs off on,
 10. round-trip a tiny job through a live :class:`CampaignService` socket.
 
 The kill lands wherever it lands — every assertion below holds whether
@@ -84,6 +84,18 @@ FAULT_MATRIX = [
     (
         "torn-ledger-append",
         [{"site": "jsonl.append", "kind": "partial_write", "nth": 3, "where": "ledger"}],
+    ),
+    (
+        "index-append-partial-write",
+        [
+            {
+                "site": "jsonl.append",
+                "kind": "partial_write",
+                "probability": 1.0,
+                "times": 1,
+                "where": "index",
+            }
+        ],
     ),
 ]
 

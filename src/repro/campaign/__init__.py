@@ -11,7 +11,8 @@ the missing ones in parallel; results accumulate into one analysis
 Layers
 ------
 * :mod:`repro.campaign.spec` — declarative sweep spec with grid/zip expansion,
-* :mod:`repro.campaign.cache` — content-hash keys and the on-disk result store,
+* :mod:`repro.campaign.cache` — content-hash keys and the unit cache, an
+  index over the shard artifacts that store every row,
 * :mod:`repro.campaign.runner` — batched parallel execution with per-unit
   error capture,
 * :mod:`repro.campaign.aggregate` — incremental columnar frame assembly,

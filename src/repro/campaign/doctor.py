@@ -14,7 +14,7 @@ category            meaning
 ``torn-tail``       unparseable final line of a JSONL log — a killed
                     writer's signature; harmless but tidied by ``--repair``
 ``missing-artifact``  a complete shard record whose ``.npz``/JSON artifact
-                    is gone — the shard silently re-executes on resume,
+                    is gone — the shard silently re-simulates on resume,
                     surfaced here so it isn't a surprise
 ``checksum-mismatch``  artifact bytes no longer match the checksum the
                     flush recorded — torn write or bit rot
@@ -26,13 +26,16 @@ category            meaning
 ==================  =======================================================
 
 Repairs never invent data: damaged shard records are superseded with a
-``status: "damaged"`` entry (so the next ``resume`` re-executes the shard
-from the unit cache), damaged artifacts and corrupt orphans are deleted,
-corrupt log lines are dropped by an atomic rewrite, and stale leases get a
-released (born-expired) successor.  *Adoptable* orphans — artifacts that
-parse cleanly and that :func:`~repro.campaign.sharding._recover_shard`
-would adopt on the next resume — are reported as notes and deliberately
-left alone.
+``status: "damaged"`` entry (so the next ``resume`` re-simulates the
+shard: a shard artifact is the only copy of its rows), damaged artifacts
+and corrupt orphans are deleted, corrupt log lines are dropped by an
+atomic rewrite, and stale leases get a released (born-expired) successor.
+*Adoptable* orphans — artifacts that parse cleanly and that
+:func:`~repro.campaign.sharding._recover_shard` would adopt on the next
+resume — are reported as notes and deliberately left alone.  A resident
+store has no shard records: its artifacts are flush batches the
+unit-cache index (``results/index.jsonl``) points at, so only corrupt
+ones are reported.
 """
 
 from __future__ import annotations
@@ -202,6 +205,7 @@ def _scan_orphans(
     from .sharding import _load_shard_frame
 
     shard_store = store.shard_store
+    streaming = store.stored_shard_size() is not None
     for key in sorted(shard_store.keys()):
         if key in referenced:
             continue
@@ -212,10 +216,12 @@ def _scan_orphans(
         if frame is not None:
             # A killed worker flushed this but never recorded it; the next
             # resume's recovery probe adopts it for free.  Leave it alone.
-            report.notes.append(
-                f"orphan artifact {key[:12]} is intact ({len(frame)} rows); "
-                "a resume can adopt it"
-            )
+            # (A resident store's intact flush batches are not debris.)
+            if streaming:
+                report.notes.append(
+                    f"orphan artifact {key[:12]} is intact ({len(frame)} rows); "
+                    "a resume can adopt it"
+                )
             continue
         issue = DoctorIssue(
             "corrupt-orphan", f"artifact {key[:12]} is unreferenced and unreadable"

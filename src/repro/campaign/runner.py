@@ -38,6 +38,8 @@ from ..parser.resultfile import parse_result_text
 from ..parser.validation import validate_run
 from ..reportgen import records
 from ..reportgen.textreport import render_report
+from ..session.artifacts import digest_json
+from ..session.columnar import frame_to_arrays
 from ..session.policy import ExecutionPolicy
 from ..simulator.batch import BatchDirector
 from ..simulator.director import RunDirector
@@ -217,6 +219,19 @@ def dispatch_simulations(
         return parallel_map(_simulate_unit, payloads, config=config)
 
 
+def _flush_rows(
+    store: CampaignStore, units: list[CampaignUnit], rows_by_key: dict[str, dict]
+) -> None:
+    """Persist one batch's new rows as one artifact in the store's shards and index it."""
+    frame = assemble_frame(units, rows_by_key)
+    meta, arrays = frame_to_arrays(frame)
+    keys = [unit.key for unit in units]
+    artifact_key = digest_json({"rows": keys})
+    shards = store.shard_store
+    shards.put(artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays)
+    store.cache.put(shards, artifact_key, shards.sidecar_digest(artifact_key), keys)
+
+
 def execute_units(
     units: tuple[CampaignUnit, ...],
     store: CampaignStore,
@@ -240,6 +255,7 @@ def execute_units(
         parallel = policy.parallel_config()
         batch = policy.use_batch_kernel
     cache = store.cache
+    cache.sync()
     rows_by_key: dict[str, dict] = {}
     pending: list[CampaignUnit] = []
     for unit in units:
@@ -261,9 +277,9 @@ def execute_units(
         # below would otherwise sit exactly at the default threshold,
         # silently running every batch serially.
         config = replace(config, serial_threshold=0)
-    # Units are executed in batches and each batch is persisted before the next
-    # starts: a campaign killed mid-run keeps every completed batch, so
-    # ``resume`` only re-simulates from the last flush onward.
+    # Units are executed in batches and each batch is persisted (one indexed
+    # artifact) before the next starts: a campaign killed mid-run keeps every
+    # completed batch, so ``resume`` only re-simulates from the last flush on.
     batch_size = max(config.chunk_size * config.effective_workers, 1)
 
     failures: list[tuple[str, str]] = []
@@ -271,15 +287,18 @@ def execute_units(
     for start in range(0, len(pending), batch_size):
         flush_units = pending[start : start + batch_size]
         outcomes = dispatch_simulations(flush_units, config, batch, catalog)
+        flushed: list[CampaignUnit] = []
         for key, row, error in outcomes:
-            unit = by_key[key]
             if error is None:
-                cache.put(key, row)
                 rows_by_key[key] = row
-                store.record(unit)
-            else:
+                flushed.append(by_key[key])
+        if flushed:
+            _flush_rows(store, flushed, rows_by_key)
+        for key, _, error in outcomes:
+            unit = by_key[key]
+            if error is not None:
                 failures.append((unit.unit_id, error))
-                store.record(unit, error=error)
+            store.record(unit, error=error)
 
     frame = assemble_frame(units, rows_by_key)
     return CampaignResult(

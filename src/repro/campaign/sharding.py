@@ -10,8 +10,10 @@ path through the same data plane:
   exist in memory,
 * :func:`stream_campaign` executes one shard at a time through the existing
   batch kernel, flushes the shard's rows to a columnar ``.npz`` artifact in
-  the campaign store and folds them into :class:`~repro.campaign.reduce`
-  online reducers before the next shard starts,
+  the campaign store's ``shards/`` (the only copy of those rows: the unit
+  cache's ``results/index.jsonl`` points into it) and folds them into
+  :class:`~repro.campaign.reduce` online reducers before the next shard
+  starts,
 * the :class:`CampaignStore` shard manifest records each flush, so a killed
   campaign resumes at shard granularity: complete shards reload their
   artifact (zero per-unit cache probing), only incomplete shards re-execute,
@@ -347,10 +349,12 @@ def _campaign_quantiles(
     The finalize half of the aggregate: each column is read back from the
     shard sidecars on its own (``pread`` of its stacked-member row and
     mask row), so resident memory is one float64 per row plus one shard's
-    mask — never the whole frame.  Sidecars are read only once their bytes
-    match the checksum this pass recorded; a torn one is re-flushed from
-    the unit cache by ``reflush`` (every unit is a cache hit) first.
-    Columns without a single valid value get no entry.
+    mask — never the whole frame.  A sidecar this pass flushed is read only
+    once its bytes match the checksum the flush recorded; a torn one is
+    re-flushed by ``reflush`` first, which re-simulates its rows (the torn
+    artifact was their only copy).  Reloaded and recovered shards were
+    verified against their checksum earlier in this pass and are not
+    hashed again.  Columns without a single valid value get no entry.
     """
     shard_store = store.shard_store
     sidecars: list[tuple[NpzMap, dict[str, tuple[str, int, int]], int]] = []
@@ -358,7 +362,11 @@ def _campaign_quantiles(
         if outcome.n_rows == 0:
             continue
         key = outcome.artifact_key
-        if outcome.checksum is not None and shard_store.sidecar_digest(key) != outcome.checksum:
+        if (
+            not outcome.reloaded
+            and outcome.checksum is not None
+            and shard_store.sidecar_digest(key) != outcome.checksum
+        ):
             outcome = reflush(outcome.index)
             if shard_store.sidecar_digest(key) != outcome.checksum:
                 raise CampaignError(
@@ -462,8 +470,9 @@ def _execute_pending(
 ) -> tuple[list[tuple[str, str]], int]:
     """Run the shard's missing units with per-unit retry rounds.
 
-    Successful rows land in ``rows_by_key`` and the unit cache; every
-    attempt (retries included) is appended to the ledger in one batch.
+    Successful rows land in ``rows_by_key`` (the shard's artifact, flushed
+    by the caller, is where they are stored); every attempt (retries
+    included) is appended to the ledger in one batch.
     Returns the surviving failures (``(unit_id, error)``) and the number of
     units quarantined *by this call* — units that still failed after
     ``retry.max_attempts`` rounds, which are recorded in
@@ -486,7 +495,6 @@ def _execute_pending(
             unit = by_key[key]
             attempts[key] = attempts.get(key, 0) + 1
             if error is None:
-                store.cache.put(key, row)
                 rows_by_key[key] = row
                 errors.pop(key, None)
             else:
@@ -540,6 +548,7 @@ def _flush_shard(
     tracer = get_tracer()
     with tracer.span("campaign.shard", index=shard.index, units=shard.n_units) as span:
         cache = store.cache
+        cache.sync()  # rows other processes indexed since the last shard
         rows_by_key: dict[str, dict] = {}
         pending: list[CampaignUnit] = []
         n_quarantined = 0
@@ -571,25 +580,29 @@ def _flush_shard(
 
         assembly_start = time.perf_counter()
         accumulator = FrameAccumulator()
+        keys: list[str] = []
         for unit in shard.units:
             row = rows_by_key.get(unit.key)
             if row is not None:
                 accumulator.add_row(annotate_row(row, unit))
+                keys.append(unit.key)
         frame = accumulator.to_frame()
         assembly_s = time.perf_counter() - assembly_start
 
         artifact_key = shard.artifact_key()
         meta, arrays = frame_to_arrays(frame)
         fault_rule = fault_point("shard.flush", ctx=f"shard{shard.index}")
-        store.shard_store.put(
-            artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays
-        )
+        shard_store = store.shard_store
+        shard_store.put(artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays)
         # Checksum of the *intended* bytes, taken before any injected
         # truncation below — so a torn flush records a checksum its artifact
-        # cannot match, which is exactly how the reload path catches it.
-        checksum = store.shard_store.sidecar_digest(artifact_key)
+        # cannot match, which is exactly how the reload path and the unit
+        # cache catch it.
+        checksum = shard_store.sidecar_digest(artifact_key)
+        if keys:
+            cache.put(shard_store, artifact_key, checksum, keys)
         if fault_rule is not None and fault_rule.kind == "partial_write":
-            _tear_sidecar(store.shard_store, artifact_key, fault_rule.fraction)
+            _tear_sidecar(shard_store, artifact_key, fault_rule.fraction)
         flush_bytes = int(sum(array.nbytes for array in arrays.values()))
         span.set("cache_hits", cache_hits)
         span.set("simulated", len(pending) - len(failures))
@@ -655,8 +668,9 @@ def _reload_shard(
     checksum = entry.get("checksum")
     try:
         if isinstance(checksum, str):
-            # Verify content before trusting: a torn/bit-rotted artifact is
-            # re-executed from the unit cache, never adopted.
+            # Verify content before trusting: a torn/bit-rotted artifact's
+            # shard re-simulates (it held the only copy of its rows), never
+            # adopted.
             if store.shard_store.sidecar_digest(artifact_key) != checksum:
                 return None
         frame = _load_shard_frame(store.shard_store, artifact_key)
@@ -1158,10 +1172,11 @@ def _stream_campaign(
 
     def reflush(index: int) -> ShardOutcome:
         # Only torn artifacts come back here, so re-keying the expansion up
-        # to the shard is a fault-path cost; budget 0 keeps it cache-only.
+        # to the shard is a fault-path cost.  The torn artifact held the
+        # only copy of its rows, so they are re-simulated (no budget).
         shard = next(islice(iter_shards(spec, catalog, shard_size=shard_size), index, None))
         outcome, _ = _flush_shard(
-            shard, store, config, batch, catalog, 0, retry=retry, quarantined=quarantined_keys
+            shard, store, config, batch, catalog, None, retry=retry, quarantined=quarantined_keys
         )
         return outcome
 

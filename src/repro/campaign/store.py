@@ -8,18 +8,23 @@ interrupted campaign without the original process:
 * ``manifest.json`` — the expanded unit list (ids, keys, parameters), written
   before execution starts so ``status`` can report progress against the full
   grid even mid-run,
-* ``results/`` — the content-addressed :class:`ResultCache`,
+* ``shards/`` — content-addressed columnar ``.npz`` frame artifacts, the one
+  place every completed row is stored: one per streamed shard, or one per
+  resident flush batch,
+* ``results/index.jsonl`` — the :class:`ResultCache` index: one line per
+  flushed artifact, mapping unit-key prefixes to its rows.  A campaign
+  service points every job store at one shared results root instead,
 * ``ledger.jsonl`` — append-only per-unit outcome log (``ok`` / ``failed``
   with the captured error), the record of *attempts* as opposed to the
   cache's record of *successes*,
-* ``shards.jsonl`` + ``shards/`` — present for sharded streaming runs: the
-  append-only shard manifest (latest entry per shard index wins) and the
-  content-addressed per-shard columnar frame artifacts it points into, the
-  state that lets ``resume`` restart at shard granularity.
+* ``shards.jsonl`` — present for sharded streaming runs: the append-only
+  shard manifest (latest entry per shard index wins) pointing into
+  ``shards/``, the state that lets ``resume`` restart at shard granularity.
 
 Because results are keyed by content and the ledger is append-only, a store
 survives being killed at any point: the next run simply simulates whatever
-keys are missing from the cache.
+keys are missing from the cache.  Stores written before the index keep one
+JSON file per unit under ``results/``; the cache still reads them.
 
 Record kinds and concurrency
 ----------------------------
@@ -191,10 +196,17 @@ class CampaignStore:
             self._cache = ResultCache(self.results_dir)
         return self._cache
 
-    @property
-    def uses_shared_results(self) -> bool:
-        """Whether results live outside the store (shared with other jobs)."""
-        return self.results_dir != self.directory / "results"
+    def use_cache(self, cache: ResultCache | None) -> ResultCache:
+        """Share ``cache`` if it indexes this store's results root; returns the one in use.
+
+        A process serving many stores over one results root (a service pool
+        worker) keeps one :class:`ResultCache` for all of them, so the
+        root's index is held in memory once, not once per store.
+        """
+        if cache is None or cache.directory != self.results_dir:
+            cache = ResultCache(self.results_dir)
+        self._cache = cache
+        return cache
 
     # ------------------------------------------------------------------ #
     @property
@@ -529,10 +541,10 @@ class CampaignStore:
     def status(self) -> CampaignStatus:
         """Progress against the manifest, from cache + ledger state.
 
-        Full manifests are walked unit by unit.  Light (streaming)
-        manifests carry no unit list, so completion is counted from the
-        cache and failures from the ledger — same numbers, O(completed)
-        instead of O(plan) metadata.
+        Full manifests are walked unit by unit against the cache.  Light
+        (streaming) manifests carry no unit list, so completion is the rows
+        this store's shard records hold and failures come from the ledger —
+        O(shards) instead of O(plan) metadata.
         """
         spec = self.load_spec()
         data = self._read_json(
@@ -553,16 +565,12 @@ class CampaignStore:
         failures: list[tuple[str, str]] = []
         if manifest is None:
             total = int(data.get("n_units", 0))
-            if self.uses_shared_results:
-                # A shared cache holds other campaigns' units too, so cache
-                # membership overcounts; rows flushed into *this* store's
-                # shard artifacts is the per-campaign completion count.
-                completed = sum(
-                    int(entry.get("n_rows", 0))
-                    for entry in self.shard_entries().values()
-                )
-            else:
-                completed = sum(1 for _ in self.cache.keys())
+            # The index keeps key prefixes only, so it cannot enumerate this
+            # campaign's units (and a shared one holds other campaigns');
+            # the rows flushed into this store's shards are its completion.
+            completed = sum(
+                int(entry.get("n_rows", 0)) for entry in self.shard_entries().values()
+            )
             for key, error in last_error.items():
                 if key not in self.cache:
                     failures.append((unit_ids[key], error))

@@ -42,7 +42,7 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Any, Callable, Iterator
 
-from ..campaign import CampaignSpec, CampaignStore, stream_campaign
+from ..campaign import CampaignSpec, CampaignStore, ResultCache, stream_campaign
 from ..campaign.leases import LeaseHeartbeat, LeaseLedger
 from ..campaign.sharding import (
     Shard,
@@ -196,13 +196,17 @@ def _pool_worker_main(
     scheduler requeues it) rather than raced.  Any exception releases the
     lease and reports ``error``; the worker itself survives to take the
     next task, so one poisoned store can't shrink the pool.
+
+    Each task's store is built afresh and dropped after the task; only the
+    unit cache lives across tasks, one per results root (every job of a
+    service shares one), so its index is loaded once per worker.
     """
     # The fork inherits the server's SIGTERM handler (which spawns a stop
     # thread *in the parent's object graph*) — restore the default so an
     # orchestrator's kill actually kills the worker.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     parent = os.getppid()
-    stores: dict[tuple[str, str | None], CampaignStore] = {}
+    cache: ResultCache | None = None
     while True:
         try:
             task = task_queue.get(timeout=_PARENT_POLL_S)
@@ -222,11 +226,8 @@ def _pool_worker_main(
             return
         start = time.perf_counter()
         try:
-            key = (task.store_dir, task.results_dir)
-            store = stores.get(key)
-            if store is None:
-                store = CampaignStore(task.store_dir, results_dir=task.results_dir)
-                stores[key] = store
+            store = CampaignStore(task.store_dir, results_dir=task.results_dir)
+            cache = store.use_cache(cache)
             ledger = LeaseLedger(store, worker_id)
             index = task.shard.index
             if (

@@ -17,8 +17,11 @@ from repro.campaign import (
     run_campaign,
     unit_key,
 )
+from repro.campaign.aggregate import assemble_frame
 from repro.cli.main import main as cli_main
 from repro.errors import CampaignError, SimulationError
+from repro.session.artifacts import ArtifactStore
+from repro.session.columnar import frame_to_arrays
 from repro.simulator import SimulationOptions
 
 GENERATIONS = ["Xeon X5670", "Xeon Platinum 8480+", "EPYC 9654"]
@@ -218,25 +221,25 @@ class TestCache:
         assert [u.key for u in a] == [u.key for u in b]
 
     def test_put_get_contains(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = unit_key(self.PARAMS, SimulationOptions())
-        assert cache.get(key) is None and key not in cache
-        cache.put(key, {"run_id": "x", "power_idle": 42.5, "nodes": None})
-        assert key in cache
-        assert cache.get(key) == {"run_id": "x", "power_idle": 42.5, "nodes": None}
-        assert len(cache) == 1 and list(cache.keys()) == [key]
+        # A row is stored in a flushed artifact; ``put`` indexes it there.
+        cache = ResultCache(tmp_path / "results")
+        unit = small_spec(seeds=(1,)).expand()[0]
+        row = {"run_id": "x", "power_idle": 42.5, "nodes": None}
+        assert cache.get(unit.key) is None and unit.key not in cache
+        meta, arrays = frame_to_arrays(assemble_frame([unit], {unit.key: row}))
+        shards = ArtifactStore(tmp_path / "shards")
+        shards.put("a" * 64, {"columns": meta, "n_rows": 1}, arrays=arrays)
+        cache.put(shards, "a" * 64, shards.sidecar_digest("a" * 64), [unit.key])
+        assert unit.key in cache
+        assert cache.get(unit.key) == row
+        assert list(cache.get(unit.key)) == list(row)  # key order kept
+        # A fresh instance reads the index back from disk.
+        assert ResultCache(tmp_path / "results").get(unit.key) == row
 
     def test_malformed_key_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(CampaignError, match="malformed"):
             cache.get("../../etc/passwd")
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = unit_key(self.PARAMS, SimulationOptions())
-        cache.put(key, {"a": 1})
-        assert cache.clear() == 1
-        assert key not in cache
 
 
 # --------------------------------------------------------------------------- #

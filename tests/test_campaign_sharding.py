@@ -346,7 +346,7 @@ class TestShardResume:
         clean = stream_campaign(spec, tmp_path / "clean", shard_size=4)
         assert resumed.frame().equals(clean.frame())
 
-    def test_corrupt_shard_artifact_reexecutes_from_unit_cache(self, tmp_path):
+    def test_corrupt_shard_artifact_resimulates(self, tmp_path):
         spec = sharded_spec(name="corrupt", seeds=(1, 2))
         store_dir = tmp_path / "store"
         first = stream_campaign(spec, store_dir, shard_size=3)
@@ -354,11 +354,33 @@ class TestShardResume:
         sidecar = store.shard_store.sidecar_path(first.shards[0].artifact_key)
         sidecar.write_bytes(b"not an npz")
 
+        # The artifact was its rows' only copy: the unit cache misses on it
+        # (checksum mismatch) and the shard's 3 units re-simulate.
         again = stream_campaign(spec, store_dir, shard_size=3)
-        assert again.is_complete and again.simulated == 0
-        assert not again.shards[0].reloaded  # rebuilt from the unit cache
+        assert again.is_complete and again.simulated == 3
+        assert not again.shards[0].reloaded
         assert again.shards[1].reloaded
         assert again.frame().equals(first.frame())
+
+    def test_replay_hashes_each_sidecar_once(self, tmp_path, monkeypatch):
+        # A reloaded shard's sidecar is verified once; the quantile pass
+        # reads it without hashing it again.
+        from repro.session.artifacts import ArtifactStore
+
+        spec = sharded_spec(name="replay-hash", seeds=(1, 2))
+        store_dir = tmp_path / "store"
+        stream_campaign(spec, store_dir, shard_size=3)
+        hashed = []
+        original = ArtifactStore.sidecar_digest
+
+        def counting(self, key):
+            hashed.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(ArtifactStore, "sidecar_digest", counting)
+        replay = stream_campaign(spec, store_dir, shard_size=3)
+        assert [shard.reloaded for shard in replay.shards] == [True, True]
+        assert len(hashed) == 2 and set(hashed) == {s.artifact_key for s in replay.shards}
 
     def test_missing_artifact_surfaces_as_campaign_error(self, tmp_path):
         spec = sharded_spec(name="vanished", seeds=(1,))

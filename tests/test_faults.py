@@ -259,6 +259,19 @@ CHAOS_CASES = [
             }
         ],
     ),
+    (
+        "index-append-partial-write",
+        [
+            {
+                "site": "jsonl.append",
+                "kind": "partial_write",
+                "probability": 1.0,
+                "times": 1,
+                "where": "index",
+                "fraction": 0.5,
+            }
+        ],
+    ),
 ]
 
 
@@ -282,10 +295,13 @@ class TestChaosMatrix:
         )
         # The scoped plan is uninstalled once the run returns.
         assert active_fault_plan() is None
+        # Every case's fault really fired: none passes vacuously.
+        fired = {(site, kind) for site, kind, _ in plan.fired}
+        assert {(rule["site"], rule["kind"]) for rule in rules} <= fired
         assert not faulty.quarantined  # every injected failure was transient
         # A plain resume heals anything the faults tore (checksum-mismatch
-        # artifacts re-execute from the unit cache, torn ledger lines are
-        # simply re-simulated); for most cases it reloads everything.
+        # artifacts re-simulate; a torn ledger or index line loses that one
+        # record, never a row); for most cases it reloads everything.
         resumed = resume_streaming(tmp_path / "faulty", retry=FAST_RETRY)
         assert resumed.is_complete and not resumed.failures
         assert resumed.status == "complete"

@@ -294,6 +294,83 @@ class TestTTL:
 
 
 # --------------------------------------------------------------------------- #
+# Pool worker memory: one unit cache per results root, no per-job stores
+# --------------------------------------------------------------------------- #
+class TestPoolWorkerMemory:
+    def test_one_cache_for_a_shared_root_and_no_retained_stores(
+        self, tmp_path, monkeypatch
+    ):
+        import gc
+        import queue
+        import weakref
+
+        import repro.campaign.store as store_module
+        import repro.service.scheduler as scheduler_module
+        from repro.campaign import ResultCache
+        from repro.campaign.sharding import iter_shards
+
+        results = tmp_path / "results"
+        tasks: queue.Queue = queue.Queue()
+        for job in range(20):
+            # Consecutive jobs share one unit, so each job after the first
+            # is served one row from its predecessor's artifact.
+            spec = CampaignSpec(
+                name=f"job{job}",
+                sweep={"cpu_model": ["EPYC 9654"], "seed": [job, job + 1]},
+                base=FAST_BASE,
+            )
+            store_dir = tmp_path / f"job{job}"
+            CampaignStore(store_dir, results_dir=results).initialize_streaming(spec, 2)
+            tasks.put(
+                scheduler_module.ShardTask(
+                    job_id=f"job{job}",
+                    store_dir=str(store_dir),
+                    results_dir=str(results),
+                    shard=next(iter_shards(spec, shard_size=2)),
+                )
+            )
+        tasks.put(None)
+
+        built = []
+
+        class CountingCache(ResultCache):
+            def __init__(self, directory):
+                super().__init__(directory)
+                built.append(self)
+
+        monkeypatch.setattr(store_module, "ResultCache", CountingCache)
+        live: weakref.WeakSet = weakref.WeakSet()
+        original_init = CampaignStore.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            live.add(self)
+
+        monkeypatch.setattr(CampaignStore, "__init__", tracking_init)
+        alive_at_execute = []
+        original_execute = scheduler_module.execute_shard
+
+        def observed(store, shard, **kwargs):
+            gc.collect()
+            alive_at_execute.append(len(live))
+            return original_execute(store, shard, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "execute_shard", observed)
+
+        done: queue.Queue = queue.Queue()
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            scheduler_module._pool_worker_main("pool0", tasks, done)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        outcomes = [done.get_nowait() for _ in range(20)]
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 20
+        assert sum(outcome.cache_hits for outcome in outcomes) == 19
+        assert len(built) == 1
+        assert max(alive_at_execute) == 1  # only the current task's store
+
+
+# --------------------------------------------------------------------------- #
 # Event streaming: server-side drop accounting, client-side EventStream
 # --------------------------------------------------------------------------- #
 class TestEventBackpressure:
