@@ -1,11 +1,14 @@
-"""Incremental assembly of campaign unit rows into an analysis frame.
+"""Assembly of campaign unit rows into an analysis frame.
 
-The accumulator is columnar from the start: rows are decomposed into
-per-column value lists as they arrive, late-appearing columns are backfilled
-with missing values, and :meth:`FrameAccumulator.to_frame` hands the lists to
-:class:`repro.frame.Frame` without an intermediate list-of-dicts copy.  The
-resulting frame has the same schema as :func:`repro.core.dataset.load_runs`
-output plus the campaign annotation columns, so it flows straight into
+:func:`assemble_frame` builds a campaign (or shard) frame column by column:
+rows that are :class:`~repro.parser.fields.BlockRow` views are gathered from
+their blocks' typed columns with one index operation per block and column,
+and rows that are plain mappings (unit-cache hits) are read per column.
+The result is exactly the frame :class:`FrameAccumulator` builds from the
+same rows one dict at a time (union of columns in first-seen order, kinds
+inferred over every value, NaN masked), which stays as the reference.  The
+frame has the same schema as :func:`repro.core.dataset.load_runs` output
+plus the campaign annotation columns, so it flows straight into
 :func:`repro.api.analyze`.
 """
 
@@ -13,7 +16,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from ..frame import Frame
+import numpy as np
+
+from ..frame import Column, Frame
+from ..parser.fields import KIND_DTYPES, KIND_FILLS, BlockRow, RecordBlock
 from .spec import CampaignUnit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,13 +95,121 @@ def assemble_frame(
 
     Units whose key is absent from ``rows_by_key`` (failed or still pending)
     are skipped — campaign output only ever contains completed simulations.
+    The frame equals ``FrameAccumulator`` fed ``annotate_row(row, unit)``
+    for every completed unit: the unit's own columns come from
+    ``annotate_row`` of an empty row, the row's are gathered separately.
     """
-    accumulator = FrameAccumulator()
+    pairs = []
     for unit in units:
         row = rows_by_key.get(unit.key)
         if row is not None:
-            accumulator.add_row(annotate_row(row, unit))
-    return accumulator.to_frame()
+            pairs.append((unit, row))
+    n_rows = len(pairs)
+    if not n_rows:
+        return Frame({})
+
+    # Column order: the union of each annotated row's keys, first seen first.
+    names: dict[str, None] = {}
+    layouts: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    layout: tuple | None = None
+    annotations: list[dict[str, Any]] = []
+    blocks: dict[int, tuple[RecordBlock, list[int], list[int]]] = {}
+    mapped: list[tuple[int, Mapping[str, Any]]] = []
+    for position, (unit, row) in enumerate(pairs):
+        annotation = annotate_row({}, unit)
+        annotations.append(annotation)
+        if type(row) is BlockRow:
+            keys = row.block.names
+            entry = blocks.get(id(row.block))
+            if entry is None:
+                entry = blocks[id(row.block)] = (row.block, [], [])
+            entry[1].append(position)
+            entry[2].append(row.index)
+        else:
+            keys = tuple(row)
+            mapped.append((position, row))
+        previous, layout = layout, (keys, tuple(annotation))
+        if layout != previous and layout not in layouts:
+            layouts.add(layout)
+            names.update(dict.fromkeys(keys))
+            names.update(dict.fromkeys(annotation))
+    gathers = [
+        (block, np.array(positions, dtype=np.intp), np.array(indices, dtype=np.intp))
+        for block, positions, indices in blocks.values()
+    ]
+
+    annotated = {name for annotation in annotations for name in annotation}
+    columns: dict[str, Column] = {}
+    for name in names:
+        if name in annotated:
+            values = [
+                annotation[name] if name in annotation else row.get(name)
+                for annotation, (_, row) in zip(annotations, pairs)
+            ]
+            columns[name] = _python_column(values)
+        else:
+            columns[name] = _gather_column(name, n_rows, gathers, mapped)
+    return Frame(columns)
+
+
+def _python_column(values: list) -> Column:
+    """``Column.from_values(values)``, with all-string lists taken as they are."""
+    if all(type(value) is str for value in values):
+        return Column(np.array(values, dtype=object), np.zeros(len(values), dtype=bool), "str")
+    return Column.from_values(values)
+
+
+def _gather_column(
+    name: str,
+    n_rows: int,
+    gathers: list[tuple[RecordBlock, np.ndarray, np.ndarray]],
+    mapped: list[tuple[int, Mapping[str, Any]]],
+) -> Column:
+    """Column ``name`` of the assembled frame, from block rows and mapped rows.
+
+    When every row holding a value agrees on one kind, each source is
+    copied in with one indexed assignment; otherwise the column is built
+    from its Python values, which is what ``Column.from_values`` infers
+    over the rows one at a time.
+    """
+    kinds: set[str] = set()
+    sources = []
+    for block, positions, indices in gathers:
+        column = block.columns.get(name)
+        if column is None:
+            continue
+        missing = column.missing[indices]
+        if column.kind is not None and not missing.all():
+            kinds.add(column.kind)
+        sources.append((positions, indices, column, missing))
+    mapped_column = None
+    values = [row.get(name) for _, row in mapped]
+    if any(value is not None for value in values):
+        mapped_column = Column.from_values(values)
+        kinds.add(mapped_column.kind)
+    if len(kinds) > 1 or "mixed" in kinds:
+        merged: list = [None] * n_rows
+        for positions, indices, column, _ in sources:
+            for position, value in zip(positions.tolist(), column.python(indices)):
+                merged[position] = value
+        for (position, _), value in zip(mapped, values):
+            merged[position] = value
+        return Column.from_values(merged)
+    kind = kinds.pop() if kinds else "float"
+    data = np.full(n_rows, KIND_FILLS[kind], dtype=KIND_DTYPES[kind])
+    mask = np.ones(n_rows, dtype=bool)
+    for positions, indices, column, missing in sources:
+        if column.kind == kind:
+            data[positions] = column.values[indices]
+            mask[positions] = missing
+    if mapped_column is not None:
+        at = np.array([position for position, _ in mapped], dtype=np.intp)
+        data[at] = mapped_column.values
+        mask[at] = mapped_column.mask
+    if kind == "float":
+        mask |= np.isnan(data)
+        data[mask] = np.nan
+    return Column(data, mask, kind)
 
 
 def summarize_store(

@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from ..parallel import ParallelConfig
 from ..session.artifacts import ArtifactStore, digest_json
 from ..session.columnar import frame_from_arrays, frame_to_arrays, numeric_slots
 from ..session.policy import ExecutionPolicy
-from .aggregate import FrameAccumulator, annotate_row
+from .aggregate import annotate_row, assemble_frame
 from .leases import DEFAULT_LEASE_TTL, LeaseHeartbeat, LeaseLedger
 from .reduce import FrameReducer, Quantiles, column_quantiles, quantile_label, valid_values
 from .spec import CampaignSpec, CampaignUnit
@@ -88,6 +88,9 @@ __all__ = [
     "resume_streaming",
     "run_worker",
     "execute_shard",
+    # Row annotation, still looked up here by the per-layer trace
+    # (perfbench/tracing.py); shard frames are built by assemble_frame.
+    "annotate_row",
 ]
 
 #: Default units per shard: large enough to keep the batch kernel saturated
@@ -466,7 +469,7 @@ def _execute_pending(
     batch: bool,
     catalog: Catalog | None,
     retry: RetryPolicy | None,
-    rows_by_key: dict[str, dict],
+    rows_by_key: dict[str, Mapping[str, Any]],
 ) -> tuple[list[tuple[str, str]], int]:
     """Run the shard's missing units with per-unit retry rounds.
 
@@ -549,7 +552,7 @@ def _flush_shard(
     with tracer.span("campaign.shard", index=shard.index, units=shard.n_units) as span:
         cache = store.cache
         cache.sync()  # rows other processes indexed since the last shard
-        rows_by_key: dict[str, dict] = {}
+        rows_by_key: dict[str, Mapping[str, Any]] = {}
         pending: list[CampaignUnit] = []
         n_quarantined = 0
         for unit in shard.units:
@@ -579,14 +582,10 @@ def _flush_shard(
                 quarantined.update(store.quarantine_keys())
 
         assembly_start = time.perf_counter()
-        accumulator = FrameAccumulator()
-        keys: list[str] = []
-        for unit in shard.units:
-            row = rows_by_key.get(unit.key)
-            if row is not None:
-                accumulator.add_row(annotate_row(row, unit))
-                keys.append(unit.key)
-        frame = accumulator.to_frame()
+        keys = [unit.key for unit in shard.units if unit.key in rows_by_key]
+        # Simulated rows are views into their chunk's column block and are
+        # gathered column by column; cache hits are plain rows.
+        frame = assemble_frame(shard.units, rows_by_key)
         assembly_s = time.perf_counter() - assembly_start
 
         artifact_key = shard.artifact_key()

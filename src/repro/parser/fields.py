@@ -4,15 +4,32 @@ A *run record* is a flat dictionary (one per result file) whose keys are
 stable column names used throughout :mod:`repro.core`.  Keeping the names in
 one place avoids the scattered string literals that plague ad-hoc analysis
 scripts.
+
+Many records can also travel as one :class:`RecordBlock`: a typed
+:class:`FieldColumn` per field, in :meth:`RunRecord.to_dict` order, which
+campaign shards are assembled from column by column.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterator, Sequence
 
-__all__ = ["LOAD_LEVELS", "level_field", "RunRecord"]
+import numpy as np
+
+__all__ = [
+    "KIND_DTYPES",
+    "KIND_FILLS",
+    "LOAD_LEVELS",
+    "RECORD_COLUMNS",
+    "level_field",
+    "BlockRow",
+    "FieldColumn",
+    "RecordBlock",
+    "RunRecord",
+]
 
 #: The graduated target loads, in percent, highest first (idle handled
 #: separately as ``power_idle``).
@@ -111,3 +128,138 @@ class RunRecord:
         for key in _LEVEL_FIELDS.values():
             row[key] = per_level.get(key)
         return row
+
+
+#: The columns of :meth:`RunRecord.to_dict`, in order.
+RECORD_COLUMNS: tuple[str, ...] = (
+    *(item.name for item in fields(RunRecord) if item.name != "per_level"),
+    *_LEVEL_FIELDS.values(),
+)
+
+#: The column kind of each Python type a typed column can hold.
+_KIND_OF_TYPE = {float: "float", int: "int", bool: "bool", str: "str"}
+#: Per column kind: the array dtype, and the value a missing row holds
+#: (what :meth:`repro.frame.Column.from_values` stores there).
+KIND_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_, "str": object}
+KIND_FILLS = {"float": np.nan, "int": 0, "bool": False, "str": None}
+
+
+@dataclass(eq=False)
+class FieldColumn:
+    """One field of many records: typed values, and where a record holds ``None``.
+
+    ``kind`` names the one Python type every non-``None`` value has:
+    ``"float"``, ``"int"``, ``"bool"`` or ``"str"``, whose values sit in a
+    float64, int64, bool or object array, with NaN, 0, False or ``None``
+    in the ``missing`` rows.  It is ``None`` when every value is ``None``,
+    and ``"mixed"`` when the values have several types (or one other type):
+    ``objects`` then holds the values themselves and ``values`` is unused.
+    """
+
+    values: np.ndarray | None
+    missing: np.ndarray
+    kind: str | None
+    objects: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.missing)
+
+    @classmethod
+    def of(cls, values: Sequence[Any]) -> "FieldColumn":
+        """The column of ``values``, one per record."""
+        missing = np.array([value is None for value in values], dtype=bool)
+        types = {type(value) for value in values}
+        types.discard(type(None))
+        if not types:
+            return cls.absent(len(values))
+        kind = _KIND_OF_TYPE.get(types.pop()) if len(types) == 1 else None
+        if kind is not None:
+            fill = KIND_FILLS[kind]
+            try:
+                typed = np.array(
+                    [fill if value is None else value for value in values],
+                    dtype=KIND_DTYPES[kind],
+                )
+            except OverflowError:  # an int past int64
+                pass
+            else:
+                return cls(typed, missing, kind)
+        return cls(None, missing, "mixed", list(values))
+
+    @classmethod
+    def absent(cls, n_rows: int) -> "FieldColumn":
+        """A column of ``n_rows`` records that all hold ``None``."""
+        return cls(np.full(n_rows, np.nan), np.ones(n_rows, dtype=bool), None)
+
+    def take(self, rows: np.ndarray) -> "FieldColumn":
+        """The records at ``rows`` (an index array), in that order."""
+        if self.kind == "mixed":
+            objects = self.objects
+            return type(self)(None, self.missing[rows], "mixed", [objects[i] for i in rows])
+        return type(self)(self.values[rows], self.missing[rows], self.kind)
+
+    def value(self, row: int) -> Any:
+        """Record ``row``'s value, as :meth:`RunRecord.to_dict` gives it."""
+        if self.kind == "mixed":
+            return self.objects[row]
+        if self.missing[row]:
+            return None
+        value = self.values[row]
+        return value if self.kind == "str" else value.item()
+
+    def python(self, rows: np.ndarray) -> list:
+        """The values of the records at ``rows``, as Python objects."""
+        if self.kind == "mixed":
+            objects = self.objects
+            return [objects[i] for i in rows]
+        values = self.values[rows].tolist()
+        for at in np.flatnonzero(self.missing[rows]).tolist():
+            values[at] = None
+        return values
+
+
+class RecordBlock:
+    """Many run records as :class:`FieldColumn`\\ s, in :data:`RECORD_COLUMNS` order.
+
+    ``errors[i]`` is the exception deriving record ``i`` raised, or ``None``;
+    an errored record's columns hold nothing meaningful.
+    """
+
+    __slots__ = ("columns", "errors")
+
+    #: Every block holds the record columns, so rows share one name tuple.
+    names = RECORD_COLUMNS
+
+    def __init__(
+        self, columns: dict[str, FieldColumn], errors: Sequence[BaseException | None]
+    ):
+        if tuple(columns) != RECORD_COLUMNS:
+            raise ValueError("a record block holds exactly the record columns, in order")
+        self.columns = columns
+        self.errors = list(errors)
+
+    def row(self, index: int) -> "BlockRow":
+        return BlockRow(self, index)
+
+
+class BlockRow(Mapping):
+    """Read-only view of one record of a :class:`RecordBlock`.
+
+    ``dict(view)`` equals the record's :meth:`RunRecord.to_dict`: the same
+    keys in the same order, the same Python values.
+    """
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: RecordBlock, index: int):
+        self.block = block
+        self.index = index
+
+    def __getitem__(self, name: str) -> Any:
+        return self.block.columns[name].value(self.index)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(RECORD_COLUMNS)
+
+    def __len__(self) -> int:
+        return len(RECORD_COLUMNS)

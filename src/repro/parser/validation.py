@@ -3,16 +3,30 @@
 The paper removes 57 of 1017 downloaded results before analysis.  The same
 checks are implemented here; each produces a :class:`ValidationIssue` so the
 dataset funnel can be reported with per-reason counts.
+
+:func:`validate_run` checks one record; :func:`primary_issues` applies the
+same checks as column predicates to a whole
+:class:`~repro.parser.fields.RecordBlock` and gives each record its
+``primary_issue``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Mapping
 
-from .fields import RunRecord
+import numpy as np
 
-__all__ = ["MAX_PLAUSIBLE_CORES", "ValidationIssue", "ValidationReport", "validate_run"]
+from .fields import FieldColumn, RunRecord, level_field
+
+__all__ = [
+    "MAX_PLAUSIBLE_CORES",
+    "ValidationIssue",
+    "ValidationReport",
+    "primary_issues",
+    "validate_run",
+]
 
 #: Hardware availability dates outside this window are implausible: the
 #: benchmark targets servers sold between the early 2000s and "shortly after
@@ -128,3 +142,117 @@ def validate_run(record: RunRecord) -> ValidationReport:
     issues.extend(_core_thread_issues(record))
     issues.extend(_measurement_issues(record))
     return ValidationReport(run_id=record.run_id, issues=tuple(issues))
+
+
+def _operand(column: FieldColumn) -> np.ndarray:
+    """A column's values for arithmetic and comparisons (missing rows: 0).
+
+    Typed numbers stay NumPy arrays while products of two of them cannot
+    overflow int64; anything else becomes Python objects, so every
+    operation is the one :func:`validate_run` performs.
+    """
+    n_rows = len(column)
+    if column.kind is None:
+        return np.zeros(n_rows, dtype=np.int64)
+    if column.kind in ("float", "bool"):
+        return column.values
+    if column.kind == "int":
+        values = column.values
+        if not n_rows or (values.max() < 2**31 and values.min() > -(2**31)):
+            return values
+    objects = np.empty(n_rows, dtype=object)
+    objects[:] = column.python(np.arange(n_rows))
+    objects[column.missing] = 0
+    return objects
+
+
+def _is_true(column: FieldColumn) -> np.ndarray:
+    """Each record's value taken as a condition (``None`` is false)."""
+    if column.kind == "bool":
+        return column.values & ~column.missing
+    return np.array([bool(value) for value in column.python(np.arange(len(column)))], dtype=bool)
+
+
+def _equals(column: FieldColumn, text: str) -> np.ndarray:
+    """``value == text`` per record."""
+    if column.kind is None:
+        return np.zeros(len(column), dtype=bool)
+    if column.kind == "str":
+        return np.array(column.values == text, dtype=bool)
+    return np.array(
+        [value == text for value in column.python(np.arange(len(column)))], dtype=bool
+    )
+
+
+#: Issue codes of :func:`primary_issues`, in :func:`validate_run` order.
+_ISSUE_ORDER = (
+    ValidationIssue.NOT_ACCEPTED,
+    ValidationIssue.AMBIGUOUS_DATE,
+    ValidationIssue.IMPLAUSIBLE_DATE,
+    ValidationIssue.AMBIGUOUS_CPU,
+    ValidationIssue.MISSING_NODE_COUNT,
+    ValidationIssue.IMPLAUSIBLE_CORE_COUNT,
+    ValidationIssue.INCONSISTENT_CORE_THREAD,
+    ValidationIssue.MISSING_MEASUREMENTS,
+)
+
+
+def primary_issues(columns: Mapping[str, FieldColumn]) -> list[ValidationIssue | None]:
+    """``validate_run(record).primary_issue`` of every record of a column block.
+
+    ``columns`` maps record field names to :class:`FieldColumn`\\ s (a
+    :class:`~repro.parser.fields.RecordBlock`'s ``columns``).  Each check
+    of :func:`validate_run` becomes a boolean array; a record's primary
+    issue is its first true check in that order.
+    """
+    present = {name: ~column.missing for name, column in columns.items()}
+    value = {name: _operand(columns[name]) for name in _NUMERIC_FIELDS}
+
+    year = value["hw_avail_year"]
+    dated = present["hw_avail_year"] & present["hw_avail_month"]
+
+    cores, per_core = value["cores_total"], value["threads_per_core"]
+    chips, per_chip = value["total_chips"], value["cores_per_chip"]
+    implausible = present["cores_total"] & ((cores < 1) | (cores > MAX_PLAUSIBLE_CORES))
+    implausible |= present["threads_per_core"] & ~(
+        (per_core >= 1) & (per_core <= _MAX_PLAUSIBLE_THREADS_PER_CORE)
+    )
+    counted = present["cores_total"] & present["total_chips"] & present["cores_per_chip"]
+    inconsistent = counted & (cores != chips * per_chip)
+    threaded = present["cores_total"] & present["threads_total"] & present["threads_per_core"]
+    inconsistent |= threaded & (value["threads_total"] != cores * per_core)
+    socketed = present["nodes"] & present["sockets_per_node"] & present["total_chips"]
+    inconsistent |= socketed & (chips != value["nodes"] * value["sockets_per_node"])
+
+    checks = (
+        ~_is_true(columns["accepted"]),
+        ~dated,
+        dated & ~((year >= _PLAUSIBLE_YEARS[0]) & (year <= _PLAUSIBLE_YEARS[1])),
+        _equals(columns["cpu_class"], "unknown") | ~present["cpu_name"],
+        ~present["nodes"],
+        implausible,
+        inconsistent,
+        ~(
+            present[level_field("power", 100)]
+            & present[level_field("ssj_ops", 100)]
+            & present["power_idle"]
+        ),
+    )
+    codes = np.zeros(len(columns["accepted"]), dtype=np.intp)
+    for code, check in reversed(list(enumerate(checks, start=1))):
+        codes[np.asarray(check, dtype=bool)] = code
+    issues = (None, *_ISSUE_ORDER)
+    return [issues[code] for code in codes.tolist()]
+
+
+#: The numeric fields the checks compute with.
+_NUMERIC_FIELDS = (
+    "hw_avail_year",
+    "nodes",
+    "sockets_per_node",
+    "total_chips",
+    "cores_total",
+    "cores_per_chip",
+    "threads_total",
+    "threads_per_core",
+)

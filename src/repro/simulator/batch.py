@@ -42,7 +42,7 @@ from ..market.fleet import SystemPlan
 from ..powermodel.server import ServerConfiguration, ServerPowerModel
 from .director import RunDirector, SimulationOptions, _seed_from
 from .measurement import BatchPowerAnalyzer
-from .result import LoadLevelResult, RunResult
+from .result import RunMatrices, RunResult
 
 __all__ = ["BatchDirector"]
 
@@ -98,6 +98,25 @@ class BatchDirector:
         (``None`` disables windowing); results are bit-identical either way
         because every run draws from its own seeded RNG stream.
         """
+        return [
+            result
+            for window in self.run_windows(plans, seeds, max_rows)
+            for result in window.results()
+        ]
+
+    def run_windows(
+        self,
+        plans: Sequence[SystemPlan],
+        seeds: Sequence[int] | None = None,
+        max_rows: int | None = DEFAULT_MAX_ROWS,
+    ) -> list[RunMatrices]:
+        """The runs :meth:`run_batch` simulates, as one matrix set per window.
+
+        The windows cover ``plans`` in input order, at most ``max_rows``
+        runs each.  A window whose runs :meth:`run_batch` could not turn
+        into results (a negative power or throughput) is returned all the
+        same; :meth:`RunMatrices.check_levels` finds it.
+        """
         plans = list(plans)
         if seeds is None:
             seeds = [self.corpus_seed] * len(plans)
@@ -109,36 +128,30 @@ class BatchDirector:
             raise SimulationError(f"max_rows must be >= 1, got {max_rows}")
         if not plans:
             return []
-        # A raise here fails the whole vectorized chunk; the campaign runner
+        # A raise here fails the whole vectorized call; the campaign runner
         # falls back to per-unit scalar execution, which must converge.
         fault_point("batch.run", ctx=f"plans{len(plans)}")
         from ..obs.trace import get_tracer
 
         options = self.options
-        with get_tracer().span(
-            "batch.run", plans=len(plans), fidelity=options.fidelity
-        ):
+        with get_tracer().span("batch.run", plans=len(plans), fidelity=options.fidelity):
             if options.fidelity == "event":
                 # Event-mode queueing is sequential by nature; delegate per run.
                 return [
-                    RunDirector(self.catalog, options, seed).run(plan)
-                    for plan, seed in zip(plans, seeds)
-                ]
-            if max_rows is not None and len(plans) > max_rows:
-                results: list[RunResult] = []
-                for start in range(0, len(plans), max_rows):
-                    results.extend(
-                        self._run_window(
-                            plans[start : start + max_rows],
-                            seeds[start : start + max_rows],
-                        )
+                    RunMatrices.from_results(
+                        [
+                            RunDirector(self.catalog, options, seed).run(plan)
+                            for plan, seed in zip(plans, seeds)
+                        ]
                     )
-                return results
-            return self._run_window(plans, seeds)
+                ]
+            step = len(plans) if max_rows is None else max_rows
+            return [
+                self._run_window(plans[start : start + step], seeds[start : start + step])
+                for start in range(0, len(plans), step)
+            ]
 
-    def _run_window(
-        self, plans: list[SystemPlan], seeds: list[int]
-    ) -> list[RunResult]:
+    def _run_window(self, plans: list[SystemPlan], seeds: list[int]) -> RunMatrices:
         """One vectorized evaluation of up to ``max_rows`` plans."""
         options = self.options
         levels = options.effective_load_levels
@@ -146,25 +159,46 @@ class BatchDirector:
         n_runs = len(plans)
         n_measured = len(measured)
 
-        # One model per distinct configuration; runs sharing hardware share
-        # the model evaluation below.
-        models: dict[ServerConfiguration, ServerPowerModel] = {}
+        # One configuration per distinct hardware plan and one model per
+        # distinct configuration; runs sharing hardware share the model
+        # evaluation below.  The repr keeps apart numbers that compare equal
+        # but differ (0.0 and -0.0), so every run gets the configuration its
+        # own plan builds.
         configurations: list[ServerConfiguration] = []
-        group_rows: dict[ServerConfiguration, list[int]] = {}
+        row_model: list[int] = []
+        models: list[ServerPowerModel] = []
+        model_rows: list[list[int]] = []
+        by_hardware: dict[tuple, tuple[ServerConfiguration, int]] = {}
+        by_configuration: dict[ServerConfiguration, int] = {}
         for row, plan in enumerate(plans):
-            configuration = self.build_configuration(plan)
-            configurations.append(configuration)
-            if configuration not in models:
-                models[configuration] = ServerPowerModel(configuration)
-                group_rows[configuration] = []
-            group_rows[configuration].append(row)
+            hardware = (
+                plan.cpu_model,
+                plan.os_name,
+                plan.jvm_name,
+                plan.system_vendor,
+                plan.system_model,
+                repr((plan.sockets, plan.nodes, plan.memory_gb, plan.psu_rating_w)),
+            )
+            known = by_hardware.get(hardware)
+            if known is None:
+                configuration = self.build_configuration(plan)
+                index = by_configuration.get(configuration)
+                if index is None:
+                    index = by_configuration[configuration] = len(models)
+                    models.append(ServerPowerModel(configuration))
+                    model_rows.append([])
+                known = by_hardware[hardware] = (configuration, index)
+            configurations.append(known[0])
+            row_model.append(known[1])
+            model_rows[known[1]].append(row)
 
         analyzer = BatchPowerAnalyzer(
             sample_noise_w=1.5 if options.measurement_noise else 0.0,
             accuracy=0.005 if options.measurement_noise else 0.0,
         )
+        quotient_sigma = [model.package_cstates.quotient_sigma for model in models]
         noise = self._draw_noise_streams(
-            plans, seeds, configurations, models, analyzer, n_measured
+            plans, seeds, [quotient_sigma[index] for index in row_model], analyzer, n_measured
         )
 
         nodes = np.array([plan.nodes for plan in plans], dtype=float)
@@ -173,9 +207,7 @@ class BatchDirector:
         # is the mean of the last two intervals (SPEC run rules).  The first
         # interval's rate (with its warm-up penalty) never enters the mean,
         # so only its noise draw is consumed, not its value.
-        max_ops = np.array(
-            [models[configuration].max_throughput_ops() for configuration in configurations]
-        )
+        max_ops = np.array([model.max_throughput_ops() for model in models])[row_model]
         true_max = max_ops * noise.throughput_factor
         rate_2 = true_max * 1.0 * noise.calibration[:, 1]
         rate_3 = true_max * 1.0 * noise.calibration[:, 2]
@@ -192,12 +224,11 @@ class BatchDirector:
         node_power = np.empty((n_runs, n_measured))
         extrapolated_idle = np.empty(n_runs)
         base_quotient = np.empty(n_runs)
-        for configuration, rows in group_rows.items():
-            model = models[configuration]
+        for model, rows in zip(models, model_rows):
             node_power[rows, :] = model.node_power_w(achieved_fraction[rows, :])
             extrapolated_idle[rows] = model.extrapolated_idle_power_w()
             base_quotient[rows] = model.package_cstates.effective_quotient(
-                configuration.logical_cpus_per_node
+                model.configuration.logical_cpus_per_node
             )
 
         true_level_power = node_power * noise.power_factor[:, None] * nodes[:, None]
@@ -214,81 +245,75 @@ class BatchDirector:
             true_idle_power, noise.analyzer_factor, noise.idle
         )
 
-        results: list[RunResult] = []
-        for row, plan in enumerate(plans):
-            run_levels = [
-                LoadLevelResult(
-                    target_load=measured[column],
-                    actual_load=float(achieved_fraction[row, column]),
-                    ssj_ops=float(reported_ops[row, column]),
-                    average_power_w=float(measured_power[row, column]),
-                )
-                for column in range(n_measured)
-            ]
-            run_levels.append(
-                LoadLevelResult(
-                    target_load=0.0,
-                    actual_load=0.0,
-                    ssj_ops=0.0,
-                    average_power_w=float(measured_idle[row]),
-                )
-            )
-            results.append(
-                RunResult(
-                    plan=plan,
-                    cpu=configurations[row].cpu,
-                    configuration=configurations[row],
-                    levels=tuple(run_levels),
-                    calibrated_ops=float(calibrated[row]) * plan.nodes,
-                    accepted=plan.accepted,
-                )
-            )
-        return results
+        return RunMatrices(
+            plans=plans,
+            configurations=configurations,
+            targets=tuple(measured),
+            actual_load=achieved_fraction,
+            ssj_ops=reported_ops,
+            power=measured_power,
+            idle_power=measured_idle,
+            idle_ops=np.zeros(n_runs),
+            calibrated_ops=[rate * plan.nodes for rate, plan in zip(calibrated.tolist(), plans)],
+            accepted=[plan.accepted for plan in plans],
+        )
 
     # ------------------------------------------------------------------ #
     def _draw_noise_streams(
         self,
         plans: list[SystemPlan],
         seeds: list[int],
-        configurations: list[ServerConfiguration],
-        models: dict[ServerConfiguration, ServerPowerModel],
+        quotient_sigmas: list[float],
         analyzer: BatchPowerAnalyzer,
         n_measured: int,
     ) -> "_NoiseStreams":
-        """Per-run stochastic draws, pulled in exactly the scalar order."""
+        """Per-run stochastic draws, pulled in exactly the scalar order.
+
+        ``quotient_sigmas`` gives each run's idle-quotient spread (its
+        power model's package C-state sigma).
+        """
         options = self.options
         n_runs = len(plans)
         streams = _NoiseStreams.identity(n_runs, n_measured)
         if not options.measurement_noise:
             return streams
         level_sigma = analyzer.interval_noise_sigma(options.interval_duration_s)
-        calibration_sigma = analyzer.calibration_sigma()
-        for row, (plan, seed) in enumerate(zip(plans, seeds)):
-            rng = np.random.default_rng(_seed_from(plan.run_id, seed))
-            # 1. analyzer calibration offset (PowerAnalyzer construction)
-            streams.analyzer_factor[row] = 1.0 + float(rng.normal(0.0, calibration_sigma))
-            # 2. per-run throughput/power variation (BIOS, firmware, tuning)
-            streams.throughput_factor[row] = float(
-                np.exp(rng.normal(0.0, options.throughput_variation_sigma))
-            )
-            streams.power_factor[row] = float(
-                np.exp(rng.normal(0.0, options.power_variation_sigma))
-            )
-            # 3. calibration interval noise (skipped entirely at sigma 0,
-            #    matching the scalar ``calibrate``; scalar np.exp per draw so
-            #    the values are the exact floats the scalar path computes)
-            if options.calibration_noise_sigma > 0:
-                for interval in range(_CALIBRATION_INTERVALS):
-                    streams.calibration[row, interval] = float(
-                        np.exp(rng.normal(0.0, options.calibration_noise_sigma))
-                    )
-            # 4. one sampling draw per measured level, in ladder order
-            streams.level[row, :] = rng.normal(0.0, level_sigma, n_measured)
-            # 5. idle quotient spread, then the idle sampling draw
-            quotient_sigma = models[configurations[row]].package_cstates.quotient_sigma
+        # A run's draws in scalar order: analyzer calibration offset;
+        # throughput and power variation; the calibration intervals (none at
+        # sigma 0, matching the scalar ``calibrate``); one sampling draw per
+        # measured level, in ladder order; the idle quotient spread (none at
+        # sigma 0); the idle sampling draw.  ``normal(0, s)`` is
+        # ``0.0 + s * z`` of the generator's next standard normal ``z``, so
+        # one ``standard_normal(k)`` per run scaled by each draw's sigma
+        # consumes the same stream and gives the same floats.
+        head = [
+            analyzer.calibration_sigma(),
+            options.throughput_variation_sigma,
+            options.power_variation_sigma,
+        ]
+        n_calibration = _CALIBRATION_INTERVALS if options.calibration_noise_sigma > 0 else 0
+        head += [options.calibration_noise_sigma] * n_calibration
+        first_level = len(head)
+        sigmas_by_quotient: dict[float, np.ndarray] = {}
+        for row, (plan, seed, quotient_sigma) in enumerate(zip(plans, seeds, quotient_sigmas)):
+            sigmas = sigmas_by_quotient.get(quotient_sigma)
+            if sigmas is None:
+                quotient = [quotient_sigma] if quotient_sigma > 0 else []
+                sigmas = np.array(head + [level_sigma] * n_measured + quotient + [level_sigma])
+                sigmas_by_quotient[quotient_sigma] = sigmas
+            rng = np.random.Generator(np.random.PCG64(_seed_from(plan.run_id, seed)))
+            draws = (0.0 + sigmas * rng.standard_normal(len(sigmas))).tolist()
+            streams.analyzer_factor[row] = 1.0 + draws[0]
+            # Scalar np.exp per draw, so the factors are the exact floats the
+            # scalar path computes.
+            streams.throughput_factor[row] = float(np.exp(draws[1]))
+            streams.power_factor[row] = float(np.exp(draws[2]))
+            for interval in range(n_calibration):
+                streams.calibration[row, interval] = float(np.exp(draws[3 + interval]))
+            streams.level[row, :] = draws[first_level : first_level + n_measured]
             if quotient_sigma > 0:
-                streams.idle_quotient[row] = float(np.exp(rng.normal(0.0, quotient_sigma)))
-            streams.idle[row] = float(rng.normal(0.0, level_sigma))
+                streams.idle_quotient[row] = float(np.exp(draws[-2]))
+            streams.idle[row] = draws[-1]
         return streams
 
 

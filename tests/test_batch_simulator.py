@@ -2,10 +2,10 @@
 
 The contract of :class:`repro.simulator.batch.BatchDirector` is that batched
 execution is a pure optimisation: per run it reproduces the scalar
-:class:`RunDirector` bit-for-bit when measurement noise is off, and
-distributionally (same seeded streams, same moments) when noise is on.
-These tests pin that contract field by field, including through random plans
-(Hypothesis) and the event-fidelity fallback.
+:class:`RunDirector` bit-for-bit, with measurement noise off and on (every
+run draws from its own seeded stream in the scalar order).  These tests pin
+that contract field by field, including through random plans (Hypothesis)
+and the event-fidelity fallback.
 """
 
 from __future__ import annotations
@@ -188,6 +188,56 @@ class TestExactEquivalence:
             [plan]
         )[0]
         assert_runs_identical(scalar_run, batch_run)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        models=st.lists(st.sampled_from(MODEL_NAMES), min_size=1, max_size=4),
+        sockets=st.integers(min_value=1, max_value=4),
+        nodes=st.integers(min_value=1, max_value=4),
+        corpus_seed=st.integers(min_value=0, max_value=2**31 - 1),
+        run_tag=st.integers(min_value=0, max_value=10**6),
+        load_levels=st.sampled_from(
+            [None, (1.0, 0.0), (1.0, 0.5, 0.0), (1.0, 0.8, 0.6, 0.4, 0.2, 0.0)]
+        ),
+        interval_duration_s=st.sampled_from([60.0, 240.0, 431.0]),
+        calibration_noise_sigma=st.sampled_from([0.0, 0.001, 0.01, 0.2]),
+        throughput_variation_sigma=st.sampled_from([0.0, 0.03, 0.5]),
+        power_variation_sigma=st.sampled_from([0.0, 0.04, 0.5]),
+    )
+    def test_random_noisy_plans_agree_on_every_field(
+        self,
+        models,
+        sockets,
+        nodes,
+        corpus_seed,
+        run_tag,
+        load_levels,
+        interval_duration_s,
+        calibration_noise_sigma,
+        throughput_variation_sigma,
+        power_variation_sigma,
+    ):
+        # The noisy twin of the test above: every draw the scalar director
+        # takes from its run's generator (calibration, throughput and power
+        # variation, calibration intervals, level and idle sampling, the
+        # idle quotient) comes out of the batch kernel bit for bit, zero
+        # sigmas (which skip draws) included.
+        plans = [
+            make_plan(model, sockets=sockets, nodes=nodes, run_id=f"batch-noise-{run_tag}-{i}")
+            for i, model in enumerate(models)
+        ]
+        options = SimulationOptions(
+            measurement_noise=True,
+            load_levels=load_levels,
+            interval_duration_s=interval_duration_s,
+            calibration_noise_sigma=calibration_noise_sigma,
+            throughput_variation_sigma=throughput_variation_sigma,
+            power_variation_sigma=power_variation_sigma,
+        )
+        scalar = [RunDirector(options=options, corpus_seed=corpus_seed).run(p) for p in plans]
+        batch = BatchDirector(options=options, corpus_seed=corpus_seed).run_batch(plans)
+        for scalar_run, batch_run in zip(scalar, batch):
+            assert_runs_identical(scalar_run, batch_run)
 
 
 class TestNoisyDistributions:

@@ -1,10 +1,13 @@
 """Campaign rows are derived from simulated results, never from report text.
 
+Campaign rows come from the column path: the kernel's matrices become one
+record block per chunk (``derive_block``), validated by column predicates.
 ``derive_record`` promises the record ``parse_result_text(render_report(r))``
-would give.  The runner keeps that text route as its reference
-(``_text_roundtrip_result``); these tests hold every campaign unit of the
-default catalog to it, across the option and plan axes, and pin that a cold
-streamed campaign no longer renders or parses anything.
+would give.  The runner keeps both per-unit routes as references
+(``_roundtrip_result`` and ``_text_roundtrip_result``); these tests hold
+every campaign unit of the default catalog to them, across the option and
+plan axes, and pin that a cold streamed campaign no longer renders or parses
+anything.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from repro.campaign import CampaignSpec, runner, stream_campaign
 from repro.campaign.runner import dispatch_simulations
 from repro.market.catalog import default_catalog
 from repro.parallel import ParallelConfig
+from repro.simulator import BatchDirector
 
 MODELS = [entry.cpu.model for entry in default_catalog().entries]
 
@@ -41,21 +45,20 @@ ORACLE_SPECS = [
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
-def test_derived_rows_equal_the_text_route_for_every_unit(spec, monkeypatch):
-    derived_route = runner._roundtrip_result
-    outcomes = []
-
-    def both_routes(key, plan, result):
-        derived = derived_route(key, plan, result)
-        # repr: exact floats, NaN-safe, and the row's column order counts.
-        assert repr(derived) == repr(runner._text_roundtrip_result(key, plan, result)), key
-        outcomes.append(derived)
-        return derived
-
-    monkeypatch.setattr(runner, "_roundtrip_result", both_routes)
+def test_derived_rows_equal_the_text_route_for_every_unit(spec):
     units = spec.expand()
-    dispatch_simulations(list(units), ParallelConfig(backend="serial"), True, None)
+    outcomes = dispatch_simulations(list(units), ParallelConfig(backend="serial"), True, None)
     assert len(outcomes) == len(units)
+    by_key = {unit.key: unit for unit in units}
+    for key, row, error in outcomes:
+        unit = by_key[key]
+        result = BatchDirector(options=unit.options).run_batch([unit.plan], seeds=[unit.seed])[0]
+        # The column form's row is a view into its chunk's block; as a dict
+        # it must be the record route's row and the text route's row.
+        # repr: exact floats, NaN-safe, and the row's column order counts.
+        column = repr((key, None if row is None else dict(row), error))
+        assert column == repr(runner._roundtrip_result(key, unit.plan, result)), key
+        assert column == repr(runner._text_roundtrip_result(key, unit.plan, result)), key
     errors = [error for _, _, error in outcomes if error is not None]
     assert len(errors) < len(units)
     if spec.name == "oracle-plans":
