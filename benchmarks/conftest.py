@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import generate_corpus, load_dataset
 from repro.core.filters import apply_paper_filters
 from repro.frame import Frame
-from repro.parallel import ParallelConfig
+from repro.session import ExecutionPolicy, Session
 
 PAPER_RUNS = 960
 PAPER_SEED = 2024
+
+#: Corpus generation and parsing fan out over a process pool.
+PAPER_POLICY = ExecutionPolicy(mode="process", chunk_size=64)
 
 
 def pytest_addoption(parser):
@@ -31,20 +33,15 @@ def pytest_addoption(parser):
 def paper_corpus_dir(tmp_path_factory, request) -> str:
     directory = tmp_path_factory.mktemp("paper_corpus")
     runs = request.config.getoption("--corpus-runs")
-    generate_corpus(
-        directory,
-        total_parsed_runs=runs,
-        seed=PAPER_SEED,
-        parallel=ParallelConfig(backend="process", chunk_size=64),
-    )
+    with Session(policy=PAPER_POLICY) as session:
+        session.corpus(runs=runs, seed=PAPER_SEED, directory=directory).result()
     return str(directory)
 
 
 @pytest.fixture(scope="session")
 def paper_runs(paper_corpus_dir) -> Frame:
-    return load_dataset(
-        paper_corpus_dir, parallel=ParallelConfig(backend="process", chunk_size=64)
-    )
+    with Session(policy=PAPER_POLICY) as session:
+        return session.dataset(corpus=paper_corpus_dir).result()
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@
 
 The cache win is the headline number of the campaign subsystem: a warm
 invocation of the same spec over the same store performs zero simulations and
-reduces the campaign to key hashing plus JSON row loads — typically two
-orders of magnitude faster than the cold run it replays.
+reduces the campaign to key hashing plus one checksum-verified shard artifact
+load per recorded shard, several times faster than the cold run it replays.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def test_bench_campaign_warm(benchmark, tmp_path):
 
 @pytest.mark.benchmark(group="campaign")
 def test_bench_campaign_status(benchmark, tmp_path):
-    """Ledger + cache scan behind ``spectrends campaign status``."""
+    """Ledger + shard-record scan behind ``spectrends campaign status``."""
     spec = CampaignSpec.from_dict(BENCH_SPEC)
     store_dir = tmp_path / "store"
     run_campaign(spec, store_dir)

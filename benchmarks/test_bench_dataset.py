@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import generate_corpus
 from repro.parallel import ParallelConfig
 from repro.parser import parse_directory
+from repro.session import Session
 
 
 @pytest.mark.benchmark(group="dataset")
@@ -22,7 +22,8 @@ def test_bench_corpus_generation(benchmark, tmp_path):
     def generate():
         counter["i"] += 1
         out = tmp_path / f"gen-{counter['i']}"
-        return generate_corpus(out, total_parsed_runs=120, seed=7)
+        with Session() as session:
+            return session.corpus(runs=120, seed=7, directory=out).result()
 
     report = benchmark(generate)
     assert report.total_files > 120

@@ -12,9 +12,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import analyze, generate_corpus, load_dataset
+from repro import ExecutionPolicy, Session
 from repro.core import figure4
-from repro.parallel import ParallelConfig
 from repro.parser import parse_directory
 from repro.stats import bin_by_year
 
@@ -24,15 +23,15 @@ def main() -> int:
         Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="experiments-"))
     )
     corpus = output / "corpus"
-    parallel = ParallelConfig(backend="process", max_workers=8, chunk_size=64)
-    generate_corpus(corpus, total_parsed_runs=960, seed=2024, parallel=parallel)
-    parse_report = parse_directory(corpus, parallel=parallel)
-    print("== corpus ==")
-    print(parse_report.describe())
-    print("rejections:", dict(sorted(parse_report.rejection_counts().items())))
-
-    runs = load_dataset(corpus, parallel=parallel)
-    result = analyze(runs, include_table1=True, include_figures=True)
+    policy = ExecutionPolicy(mode="process", workers=8, chunk_size=64)
+    with Session(policy=policy) as session:
+        session.corpus(runs=960, seed=2024, directory=corpus).result()
+        parse_report = parse_directory(corpus, parallel=policy.parallel_config())
+        print("== corpus ==")
+        print(parse_report.describe())
+        print("rejections:", dict(sorted(parse_report.rejection_counts().items())))
+        dataset = session.dataset(corpus=corpus)
+        result = session.analysis(dataset, table1=True, figures=True).result()
     print()
     print(result.summary())
 

@@ -24,8 +24,8 @@ workspace directory::
         result = session.analysis().result()
         print(result.summary())
 
-(The module-level ``quick_dataset``/``analyze``/... functions still work,
-but are deprecated shims over the session layer.)
+``Session``, ``ExecutionPolicy`` and ``AnalysisResult`` load on first use,
+so ``import repro`` stays light for frame-only consumers.
 """
 
 from __future__ import annotations
@@ -34,17 +34,7 @@ from .errors import ReproError
 from .frame import Column, Frame, concat, read_csv
 from .units import MonthDate
 
-from .api import (
-    quick_dataset,
-    generate_corpus,
-    parse_corpus,
-    load_dataset,
-    analyze,
-    run_campaign,
-    AnalysisResult,
-)
-
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "__version__",
@@ -54,18 +44,12 @@ __all__ = [
     "concat",
     "read_csv",
     "MonthDate",
-    "quick_dataset",
-    "generate_corpus",
-    "parse_corpus",
-    "load_dataset",
-    "analyze",
-    "run_campaign",
     "AnalysisResult",
     "Session",
     "ExecutionPolicy",
 ]
 
-_SESSION_EXPORTS = {"Session", "ExecutionPolicy"}
+_SESSION_EXPORTS = {"AnalysisResult", "Session", "ExecutionPolicy"}
 
 
 def __getattr__(name: str):

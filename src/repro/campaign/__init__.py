@@ -3,24 +3,27 @@
 A *campaign* explores many simulation scenarios at once: a
 :class:`CampaignSpec` declares sweeps over catalog generations, node counts,
 :class:`~repro.simulator.director.SimulationOptions` fields, load-level sets
-and seeds; expansion produces content-addressed units; the runner executes
-the missing ones in parallel; results accumulate into one analysis
-:class:`~repro.frame.Frame` that flows straight into
-:func:`repro.api.analyze`.
+and seeds; expansion produces content-addressed units; every run executes
+the missing ones shard by shard and flushes each shard to the store; the
+rows come back as one analysis :class:`~repro.frame.Frame`
+(:func:`run_campaign`) or stay on disk behind a streamed aggregate
+(:func:`stream_campaign`), and flow straight into ``Session.analysis``.
 
 Layers
 ------
 * :mod:`repro.campaign.spec` — declarative sweep spec with grid/zip expansion,
 * :mod:`repro.campaign.cache` — content-hash keys and the unit cache, an
   index over the shard artifacts that store every row,
-* :mod:`repro.campaign.runner` — batched parallel execution with per-unit
-  error capture,
-* :mod:`repro.campaign.aggregate` — incremental columnar frame assembly,
+* :mod:`repro.campaign.runner` — batched parallel unit simulation with
+  per-unit error capture, and the resident runner that returns the whole
+  campaign frame,
+* :mod:`repro.campaign.aggregate` — columnar frame assembly,
 * :mod:`repro.campaign.store` — resumable campaign directories (spec
   snapshot, manifest, ledger, shard manifest),
-* :mod:`repro.campaign.sharding` — the bounded-memory streaming path:
-  lazy fixed-size shards, each flushed to a columnar ``.npz`` artifact,
-  executed serially or fanned out across a worker pool,
+* :mod:`repro.campaign.sharding` — the shard step every run takes, and
+  the bounded-memory streaming path: lazy fixed-size shards, each flushed
+  to a columnar ``.npz`` artifact, executed serially or fanned out across
+  a worker pool,
 * :mod:`repro.campaign.leases` — lease records in the shard ledger that
   let cooperating worker processes claim shards and reclaim the work of
   crashed peers (with heartbeat renewal distinguishing slow from hung),
@@ -53,7 +56,7 @@ from .cache import ResultCache, unit_key
 from .doctor import DoctorIssue, DoctorReport, doctor_store
 from .leases import DEFAULT_LEASE_TTL, Lease, LeaseHeartbeat, LeaseLedger
 from .reduce import FrameReducer, OnlineMoments, reduce_frame
-from .runner import CampaignResult, execute_units, resume_campaign, run_campaign
+from .runner import CampaignResult, resume_campaign, run_campaign
 from .sharding import (
     DEFAULT_SHARD_SIZE,
     Shard,
@@ -80,7 +83,6 @@ __all__ = [
     "assemble_frame",
     "summarize_store",
     "CampaignResult",
-    "execute_units",
     "run_campaign",
     "resume_campaign",
     "Shard",

@@ -9,7 +9,8 @@ same rows one dict at a time (union of columns in first-seen order, kinds
 inferred over every value, NaN masked), which stays as the reference.  The
 frame has the same schema as :func:`repro.core.dataset.load_runs` output
 plus the campaign annotation columns, so it flows straight into
-:func:`repro.api.analyze`.
+:func:`repro.session.session.analyze_frame`.  Every shard flush builds its
+frame here; a resident run concatenates the shard frames.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ and re-running a spec only simulates units whose keys are absent.
 
 Storage
 -------
-Every completed row is stored once, in the columnar ``.npz`` artifact its
-run flushed into a store's ``shards/`` (a streamed shard, or one resident
-flush batch).  The unit cache is an append-only index over those artifacts,
-``index.jsonl`` in the results root, with one line per flushed artifact:
+Every completed row is stored once, in the columnar ``.npz`` artifact of
+the shard its run flushed into a store's ``shards/`` (stores written by
+older resident runs hold one per flush batch).  The unit cache is an
+append-only index over those artifacts, ``index.jsonl`` in the results
+root, with one line per flushed artifact:
 
 * ``shards`` -- the artifact store's directory, relative to the results
   root, so a store moved together with its root stays warm,

@@ -32,10 +32,10 @@ and corrupt orphans are deleted, corrupt log lines are dropped by an
 atomic rewrite, and stale leases get a released (born-expired) successor.
 *Adoptable* orphans — artifacts that parse cleanly and that
 :func:`~repro.campaign.sharding._recover_shard` would adopt on the next
-resume — are reported as notes and deliberately left alone.  A resident
-store has no shard records: its artifacts are flush batches the
-unit-cache index (``results/index.jsonl``) points at, so only corrupt
-ones are reported.
+resume — are reported as notes and deliberately left alone.  A store
+written by an older resident run has no shard layout: its artifacts are
+flush batches the unit-cache index (``results/index.jsonl``) points at,
+so only corrupt ones are reported.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _scan_orphans(
         if frame is not None:
             # A killed worker flushed this but never recorded it; the next
             # resume's recovery probe adopts it for free.  Leave it alone.
-            # (A resident store's intact flush batches are not debris.)
+            # (An older resident store's intact flush batches are not debris.)
             if streaming:
                 report.notes.append(
                     f"orphan artifact {key[:12]} is intact ({len(frame)} rows); "

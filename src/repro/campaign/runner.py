@@ -1,4 +1,10 @@
-"""Batched campaign execution over the parallel executor.
+"""Unit simulation for campaign shards, and the resident campaign runner.
+
+:func:`dispatch_simulations` runs one batch of units through the kernel for
+the shard step (:class:`~repro.campaign.sharding.ShardStep`), the one code
+path that writes campaign rows.  :func:`run_campaign` and
+:func:`resume_campaign` drive that step shard by shard and return the whole
+campaign frame in memory (:class:`CampaignResult`).
 
 The workers are module-level functions of one picklable payload tuple, so
 the process back-end of :mod:`repro.parallel` can ship them to a pool.  A
@@ -37,7 +43,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..errors import ReproError
 from ..faults.plan import fault_point
-from ..frame import Frame
+from ..frame import Frame, concat
 from ..market.catalog import Catalog, default_catalog
 from ..parallel import ParallelConfig, parallel_map
 from ..parser.fields import RecordBlock, RunRecord
@@ -45,20 +51,18 @@ from ..parser.resultfile import parse_result_text
 from ..parser.validation import primary_issues, validate_run
 from ..reportgen import records
 from ..reportgen.textreport import render_report
-from ..session.artifacts import digest_json
-from ..session.columnar import frame_to_arrays
 from ..session.policy import ExecutionPolicy
 from ..simulator.batch import BatchDirector
 from ..simulator.director import RunDirector
 from ..simulator.result import RunMatrices, RunResult
-from .aggregate import assemble_frame
+from .aggregate import annotate_row
+from .sharding import ShardStep, campaign_config, iter_shards
 from .spec import CampaignSpec, CampaignUnit
 from .store import CampaignStore
 
 __all__ = [
     "CampaignResult",
     "dispatch_simulations",
-    "execute_units",
     "run_campaign",
     "resume_campaign",
 ]
@@ -270,10 +274,8 @@ def dispatch_simulations(
     Returns ``(key, row, error)`` per unit: batch outcomes in options-group
     order, scalar ones in unit order.  A row is a read-only mapping, a
     :class:`~repro.parser.fields.BlockRow` into its chunk's column block.
-    The single dispatch point shared by :func:`execute_units` and the
-    sharded streaming runner, so kernel-selection semantics (chunk payload
-    grouping, the no-re-chunk outer map) can never diverge between the
-    resident and streaming paths.
+    The single dispatch point of every shard flush, resident, streamed or
+    scheduled alike.
     """
     from ..obs.trace import get_tracer
 
@@ -303,95 +305,60 @@ def dispatch_simulations(
         ]
 
 
-def _flush_rows(
-    store: CampaignStore, units: list[CampaignUnit], rows_by_key: dict[str, Mapping[str, Any]]
-) -> None:
-    """Persist one batch's new rows as one artifact in the store's shards and index it."""
-    frame = assemble_frame(units, rows_by_key)
-    meta, arrays = frame_to_arrays(frame)
-    keys = [unit.key for unit in units]
-    artifact_key = digest_json({"rows": keys})
-    shards = store.shard_store
-    shards.put(artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays)
-    store.cache.put(shards, artifact_key, shards.sidecar_digest(artifact_key), keys)
+def _annotation_order(frame: Frame, unit: CampaignUnit) -> Frame:
+    """``frame`` with its ``campaign_*`` columns in the order ``unit`` gives them.
+
+    A reloaded shard keeps the column order of the spec it was flushed
+    with: ``base`` order in memory, sorted in the ``spec.json`` snapshot.
+    """
+    wanted = [name for name in annotate_row({}, unit) if name in frame]
+    slots = set(wanted)
+    ordered = iter(wanted)
+    return frame.select([next(ordered) if name in slots else name for name in frame.columns])
 
 
-def execute_units(
-    units: tuple[CampaignUnit, ...],
+def _run_resident(
+    spec: CampaignSpec,
     store: CampaignStore,
-    parallel: ParallelConfig | None = None,
-    catalog: Catalog | None = None,
-    max_units: int | None = None,
-    batch: bool = True,
-    policy: ExecutionPolicy | None = None,
+    parallel: ParallelConfig | None,
+    catalog: Catalog | None,
+    max_units: int | None,
+    batch: bool,
+    policy: ExecutionPolicy | None,
 ) -> CampaignResult:
-    """Run whatever is missing from the store's cache and assemble the frame.
+    """Run ``spec`` into ``store`` shard by shard and concatenate the frames.
 
-    ``max_units`` bounds the number of *new* simulations this invocation
-    performs (smoke runs; also how the tests emulate an interrupted
-    campaign) — remaining units stay pending for the next run.  ``batch``
-    selects the vectorized :class:`BatchDirector` execution strategy
-    (default); pass ``False`` to force the scalar per-unit path.  A
-    :class:`~repro.session.policy.ExecutionPolicy` subsumes both knobs:
-    when given, it overrides ``parallel`` and ``batch``.
+    Each shard goes through the same :class:`~repro.campaign.sharding
+    .ShardStep` a streamed run takes, and is persisted before the next one
+    starts.  A store without a layout gets shards of ``chunk_size x
+    workers`` units, one dispatch's worth: a campaign killed mid-run loses
+    at most the shard in flight.  The store records that layout, and later
+    runs and resumes reuse it.
     """
     if policy is not None:
         parallel = policy.parallel_config()
         batch = policy.use_batch_kernel
-    cache = store.cache
-    cache.sync()
-    rows_by_key: dict[str, Mapping[str, Any]] = {}
-    pending: list[CampaignUnit] = []
-    for unit in units:
-        row = cache.get(unit.key)
-        if row is not None:
-            rows_by_key[unit.key] = row
-        else:
-            pending.append(unit)
-    cache_hits = len(rows_by_key)
-
-    if max_units is not None:
-        pending = pending[:max_units]
-
-    config = parallel or ParallelConfig(backend="serial")
-    if config.backend != "serial":
-        # The executor's serial-fallback threshold is tuned for cheap
-        # per-file work; a campaign unit is a whole benchmark simulation, so
-        # even a handful of units is worth the pool — and the batch size
-        # below would otherwise sit exactly at the default threshold,
-        # silently running every batch serially.
-        config = replace(config, serial_threshold=0)
-    # Units are executed in batches and each batch is persisted (one indexed
-    # artifact) before the next starts: a campaign killed mid-run keeps every
-    # completed batch, so ``resume`` only re-simulates from the last flush on.
-    batch_size = max(config.chunk_size * config.effective_workers, 1)
-
+    config = campaign_config(parallel)
+    shard_size = store.stored_shard_size() or config.chunk_size * config.effective_workers
+    store.initialize_streaming(spec, shard_size)
+    step = ShardStep(store, config, batch, catalog, budget=max_units)
+    frames: list[Frame] = []
     failures: list[tuple[str, str]] = []
-    by_key = {unit.key: unit for unit in units}
-    for start in range(0, len(pending), batch_size):
-        flush_units = pending[start : start + batch_size]
-        outcomes = dispatch_simulations(flush_units, config, batch, catalog)
-        flushed: list[CampaignUnit] = []
-        for key, row, error in outcomes:
-            if error is None:
-                rows_by_key[key] = row
-                flushed.append(by_key[key])
-        if flushed:
-            _flush_rows(store, flushed, rows_by_key)
-        ledger: list[tuple[CampaignUnit, str | None]] = []
-        for key, _, error in outcomes:
-            unit = by_key[key]
-            if error is not None:
-                failures.append((unit.unit_id, error))
-            ledger.append((unit, error))
-        store.record_many(ledger)
-
-    frame = assemble_frame(units, rows_by_key)
+    cache_hits = simulated = 0
+    for shard in iter_shards(spec, catalog, shard_size=shard_size):
+        outcome, frame = step(shard)
+        if len(frame):
+            frames.append(frame)
+        failures.extend(outcome.failures)
+        cache_hits += outcome.cache_hits
+        simulated += outcome.simulated
     return CampaignResult(
-        frame=frame,
-        total_units=len(units),
+        # Every unit of a spec annotates the same axes; the last shard's
+        # first unit stands for all of them.
+        frame=_annotation_order(concat(frames), shard.units[0]),
+        total_units=spec.n_units,
         cache_hits=cache_hits,
-        simulated=len(pending) - len(failures),
+        simulated=simulated,
         failures=tuple(failures),
         store_directory=str(store.directory),
     )
@@ -410,15 +377,14 @@ def run_campaign(
 
     Completed units are content-hash cache hits and are never re-simulated;
     invoking this twice over the same store performs zero new simulations
-    the second time.  ``batch=False`` opts out of the vectorized kernel;
-    a ``policy`` overrides both ``parallel`` and ``batch``.
+    the second time.  ``max_units`` bounds the number of new simulation
+    attempts (smoke runs; also how the tests emulate an interrupted
+    campaign): remaining units stay pending for the next run.
+    ``batch=False`` opts out of the vectorized kernel; a ``policy``
+    overrides both ``parallel`` and ``batch``.
     """
-    units = spec.expand(catalog)
-    store = CampaignStore(store_dir)
-    store.initialize(spec, units)
-    return execute_units(
-        units, store, parallel=parallel, catalog=catalog, max_units=max_units,
-        batch=batch, policy=policy,
+    return _run_resident(
+        spec, CampaignStore(store_dir), parallel, catalog, max_units, batch, policy
     )
 
 
@@ -432,9 +398,6 @@ def resume_campaign(
 ) -> CampaignResult:
     """Continue an interrupted campaign from its on-disk spec snapshot."""
     store = CampaignStore(store_dir)
-    spec = store.load_spec()
-    units = spec.expand(catalog)
-    return execute_units(
-        units, store, parallel=parallel, catalog=catalog, max_units=max_units,
-        batch=batch, policy=policy,
+    return _run_resident(
+        store.load_spec(), store, parallel, catalog, max_units, batch, policy
     )

@@ -1,47 +1,47 @@
-"""Sharded, streaming campaign execution: sweep size O(shard) in memory.
+"""Shard-by-shard campaign execution: the one path that writes campaign rows.
 
-:func:`run_campaign` materialises every expanded unit and every result row
-at once, which caps sweep size by RAM.  This module is the bounded-memory
-path through the same data plane:
+Every campaign run goes through the same shard step (:class:`ShardStep`):
+reload a recorded complete shard, else adopt a flushed-but-unrecorded
+artifact, else execute the shard's missing units and flush its rows to a
+columnar ``.npz`` artifact in the campaign store's ``shards/`` (the only copy
+of those rows: the unit cache's ``results/index.jsonl`` points into it).
+Three loops drive that step:
 
-* :func:`iter_shards` partitions a spec's expansion into fixed-size
-  :class:`Shard`\\ s **lazily** — it drives
-  :meth:`CampaignSpec.iter_units`, so at no point does the full unit list
-  exist in memory,
-* :func:`stream_campaign` executes one shard at a time through the existing
-  batch kernel, flushes the shard's rows to a columnar ``.npz`` artifact in
-  the campaign store's ``shards/`` (the only copy of those rows: the unit
-  cache's ``results/index.jsonl`` points into it) and folds them into
-  :class:`~repro.campaign.reduce` online reducers before the next shard
-  starts,
-* the :class:`CampaignStore` shard manifest records each flush, so a killed
-  campaign resumes at shard granularity: complete shards reload their
-  artifact (zero per-unit cache probing), only incomplete shards re-execute,
-* :func:`run_worker` + ``stream_campaign(workers=N)`` fan shards out across
-  a pool of worker processes that coordinate purely through lease records
-  in the shard ledger (:mod:`repro.campaign.leases`): each worker claims
-  pending shards, flushes them through the same ``_flush_shard`` path, and
-  the coordinator's finalize pass doubles as the *reclaimer* — it reloads
-  completed shard artifacts in shard order and re-executes whatever a
-  crashed worker left unfinished, so a SIGKILL'd worker costs at most one
-  shard of repeated work.
+* :func:`stream_campaign` consumes the expansion lazily through
+  :func:`iter_shards` (the full unit list never exists in memory) and folds
+  each shard's frame into :class:`~repro.campaign.reduce` reducers before the
+  next shard starts, so sweep size is O(shard) in memory,
+* :func:`execute_shard` runs one shard for a campaign-service pool worker,
+* the resident :func:`~repro.campaign.runner.run_campaign` concatenates the
+  shard frames into one in-memory campaign frame,
+
+and the :class:`CampaignStore` shard manifest records each flush, so a killed
+campaign resumes at shard granularity: complete shards reload their
+artifact (zero per-unit cache probing), only incomplete shards re-execute.
+:func:`run_worker` + ``stream_campaign(workers=N)`` fan shards out across a
+pool of worker processes that coordinate purely through lease records in
+the shard ledger (:mod:`repro.campaign.leases`): each worker claims pending
+shards, flushes them through the same ``_flush_shard`` path, and the
+coordinator's pass doubles as the *reclaimer* — it reloads completed shard
+artifacts in shard order and re-executes whatever a crashed worker left
+unfinished, so a SIGKILL'd worker costs at most one shard of repeated work.
 
 Equivalence contract
 --------------------
 Sharding changes *when* rows leave memory, never *what* they are.  Unit
-keys, cached rows and the per-shard frames are exactly what the unsharded
-runner produces, shard concatenation reproduces the unsharded campaign
-frame bit-for-bit, and the sequential reducers make the streamed aggregate
-bit-identical to reducing that frame in one pass (all pinned by the
-sharding tests and ``benchmarks/test_bench_shard.py``).  Aggregate
+keys and cached rows do not depend on the shard size, shard concatenation
+reproduces the campaign frame of any other shard size (the resident one
+included) bit-for-bit, and the sequential reducers make the streamed
+aggregate bit-identical to reducing that frame in one pass (all pinned by
+the sharding tests and ``benchmarks/test_bench_shard.py``).  Aggregate
 quantiles are exact: a finalize pass reads each numeric column back from
 the verified shard artifacts, one column at a time, and takes its
-quantiles over the same values the unsharded frame holds.  Worker pools
+quantiles over the same values the concatenated frame holds.  Worker pools
 keep the contract because aggregation never happens in workers: they only
 populate shard artifacts (deterministic, content-addressed), and the
 coordinator folds those artifacts in shard-index order exactly like a
 serial run — so an N-worker run is bit-identical to the 1-worker run and
-to the unsharded reduction.
+to reducing the concatenated frame in one pass.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
@@ -88,6 +89,7 @@ __all__ = [
     "resume_streaming",
     "run_worker",
     "execute_shard",
+    "ShardStep",
     # Row annotation, still looked up here by the per-layer trace
     # (perfbench/tracing.py); shard frames are built by assemble_frame.
     "annotate_row",
@@ -209,7 +211,7 @@ class StreamingCampaignResult:
     numeric column).
     :meth:`iter_frames` re-streams the rows shard by shard;
     :meth:`frame` materialises them all (only do that at sizes where the
-    unsharded runner would have been fine too).
+    resident runner would have been fine too).
     """
 
     total_units: int
@@ -289,8 +291,8 @@ class StreamingCampaignResult:
         """The full campaign frame, concatenated from the shard artifacts.
 
         Materialises every row — O(plan) memory, exactly what streaming
-        avoids — so reserve this for sweep sizes the unsharded runner could
-        also hold.  The result is bit-identical to the unsharded
+        avoids — so reserve this for sweep sizes the resident runner could
+        also hold.  The result is bit-identical to the resident
         :attr:`CampaignResult.frame` of the same spec.
         """
         return concat(list(self.iter_frames()))
@@ -461,6 +463,12 @@ def _tear_sidecar(store: ArtifactStore, key: str, fraction: float) -> None:
         sidecar.write_bytes(data[: max(1, int(len(data) * fraction))])
 
 
+#: Error prefix of a unit that simulated but failed validation.  Validation is
+#: a pure function of the unit's plan, options and seed, so such a failure
+#: repeats bit for bit and is never retried.
+_VALIDATION_ERROR = "validation: "
+
+
 def _execute_pending(
     pending: list[CampaignUnit],
     shard: Shard,
@@ -478,7 +486,8 @@ def _execute_pending(
     included) is appended to the ledger in one batch.
     Returns the surviving failures (``(unit_id, error)``) and the number of
     units quarantined *by this call* — units that still failed after
-    ``retry.max_attempts`` rounds, which are recorded in
+    ``retry.max_attempts`` rounds, or failed validation (deterministic, so
+    quarantined on that attempt), which are recorded in
     ``quarantine.jsonl`` and excluded from future passes.  With
     ``retry=None`` this is exactly the historical single-round behaviour.
     """
@@ -502,7 +511,8 @@ def _execute_pending(
                 errors.pop(key, None)
             else:
                 errors[key] = error
-                failed_units.append(unit)
+                if not error.startswith(_VALIDATION_ERROR):
+                    failed_units.append(unit)
             ledger.append((unit, error))
         round_no += 1
         if retry is None or not failed_units or round_no >= retry.max_attempts:
@@ -523,7 +533,9 @@ def _execute_pending(
     for key, error in errors.items():
         unit = by_key[key]
         failures.append((unit.unit_id, error))
-        if retry is not None and attempts.get(key, 0) >= retry.max_attempts:
+        if retry is not None and (
+            attempts[key] >= retry.max_attempts or error.startswith(_VALIDATION_ERROR)
+        ):
             store.record_quarantine(unit, error, attempts[key])
             n_quarantined += 1
     return failures, n_quarantined
@@ -646,7 +658,7 @@ def _reload_shard(
     shard: Shard,
     store: CampaignStore,
     entry: dict[str, Any],
-    quarantined_keys: set[str] | None = None,
+    quarantined_keys: set[str],
 ) -> tuple[ShardOutcome, Frame] | None:
     """Serve a recorded complete shard from its artifact, if still valid."""
     if entry.get("status") != "complete":
@@ -660,9 +672,10 @@ def _reload_shard(
     # count the record froze in: deleting ``quarantine.jsonl`` un-poisons
     # the units, the row count stops adding up, and the shard re-executes
     # exactly the units it skipped (the rest are unit-cache hits).
-    live = store.quarantine_keys() if quarantined_keys is None else quarantined_keys
     quarantined = (
-        sum(1 for unit in shard.units if unit.key in live) if live else 0
+        sum(1 for unit in shard.units if unit.key in quarantined_keys)
+        if quarantined_keys
+        else 0
     )
     checksum = entry.get("checksum")
     try:
@@ -746,9 +759,55 @@ def _recover_shard(
     return outcome, frame
 
 
-# --------------------------------------------------------------------------- #
-# Multi-worker execution
-# --------------------------------------------------------------------------- #
+@dataclass
+class ShardStep:
+    """The one step every campaign loop takes per shard.
+
+    A call brings one shard to "complete artifact + result record" where it
+    can: serve the recorded complete shard from its artifact, else adopt a
+    flushed-but-unrecorded artifact, else execute the shard's missing units
+    and flush it through :func:`_flush_shard`.  It returns the shard's
+    outcome and frame.  ``recorded`` is the shard ledger as the caller read
+    it; ``quarantined`` the live poison-unit set, grown by each flush that
+    quarantines.  ``budget`` bounds new simulation *attempts* across calls
+    (``None`` = no bound; failures count): each flush spends it, and once it
+    is spent later shards are flushed from their unit-cache hits alone, so
+    a capped pass still reports every shard.
+    """
+
+    store: CampaignStore
+    config: ParallelConfig
+    batch: bool
+    catalog: Catalog | None
+    budget: int | None = None
+    retry: RetryPolicy | None = None
+    quarantined: set[str] = field(default_factory=set)
+    recorded: dict[int, dict[str, Any]] = field(default_factory=dict)
+
+    def __call__(self, shard: Shard) -> tuple[ShardOutcome, Frame]:
+        entry = self.recorded.get(shard.index)
+        served = _reload_shard(shard, self.store, entry or {}, self.quarantined)
+        if served is None and not _shard_recorded_complete(shard, entry):
+            # A killed worker may have flushed this shard's artifact without
+            # landing its result record: adopt it instead of re-executing.
+            served = _recover_shard(shard, self.store)
+        if served is not None:
+            return served
+        outcome, frame = _flush_shard(
+            shard,
+            self.store,
+            self.config,
+            self.batch,
+            self.catalog,
+            self.budget,
+            retry=self.retry,
+            quarantined=self.quarantined,
+        )
+        if self.budget is not None:
+            self.budget -= outcome.simulated + len(outcome.failures)
+        return outcome, frame
+
+
 def _shard_recorded_complete(shard: Shard, entry: dict[str, Any] | None) -> bool:
     """Whether the ledger already holds a matching complete result record."""
     return (
@@ -758,6 +817,24 @@ def _shard_recorded_complete(shard: Shard, entry: dict[str, Any] | None) -> bool
     )
 
 
+def campaign_config(parallel: ParallelConfig | None) -> ParallelConfig:
+    """The executor configuration a campaign dispatches its units with.
+
+    The executor's serial-fallback threshold is tuned for cheap per-file
+    work; a campaign unit is a whole benchmark simulation, so even a
+    handful of units is worth the pool, and a shard of ``chunk_size x
+    workers`` units would otherwise sit exactly at the default threshold
+    and silently run serially.
+    """
+    config = parallel or ParallelConfig(backend="serial")
+    if config.backend != "serial":
+        config = replace(config, serial_threshold=0)
+    return config
+
+
+# --------------------------------------------------------------------------- #
+# Multi-worker execution
+# --------------------------------------------------------------------------- #
 def execute_shard(
     store: CampaignStore,
     shard: Shard,
@@ -768,35 +845,22 @@ def execute_shard(
     """Bring one shard to "complete artifact + result record", idempotently.
 
     The single-shard primitive behind the service scheduler's pool workers:
-    each dispatched :class:`Shard` goes through exactly the probes the
-    worker sweep loop uses — serve a recorded complete result, adopt a
-    flushed-but-unrecorded artifact, else execute and flush through the
-    same serial :func:`_flush_shard` path every other runner shares.  The
+    one :class:`ShardStep` over the store's current ledger, serial.  The
     resulting artifact is content-addressed by the shard's unit keys, so
     *who* executed it (and interleaved with what) can never change the
     bytes a later reload sees — which is what keeps scheduler-interleaved
     jobs bit-identical to their clean serial runs.
     """
-    entry = store.shard_entries().get(shard.index)
-    if _shard_recorded_complete(shard, entry):
-        reloaded = _reload_shard(shard, store, entry)
-        if reloaded is not None:
-            outcome, _ = reloaded
-            return outcome
-    recovered = _recover_shard(shard, store)
-    if recovered is not None:
-        outcome, _ = recovered
-        return outcome
-    outcome, _ = _flush_shard(
-        shard,
+    step = ShardStep(
         store,
         ParallelConfig(backend="serial"),
         batch,
         catalog,
-        None,
         retry=retry,
         quarantined=store.quarantine_keys(),
+        recorded=store.shard_entries(),
     )
+    outcome, _ = step(shard)
     return outcome
 
 
@@ -859,9 +923,7 @@ def run_worker(
             retry = policy.retry
     if batch is None:
         batch = True
-    config = parallel or ParallelConfig(backend="serial")
-    if config.backend != "serial":
-        config = replace(config, serial_threshold=0)
+    config = campaign_config(parallel)
 
     stopping = threading.Event()
     previous_handler: Any = None
@@ -1002,6 +1064,19 @@ def _run_worker_pool(
     )
 
 
+@contextmanager
+def _policy_faults(policy: ExecutionPolicy | None) -> Iterator[None]:
+    """Install ``policy.faults`` for the block, then restore the previous plan."""
+    if policy is None or policy.faults is None:
+        yield
+        return
+    previous = install_fault_plan(policy.faults)
+    try:
+        yield
+    finally:
+        install_fault_plan(previous)
+
+
 def stream_campaign(
     spec: CampaignSpec,
     store_dir: str | os.PathLike,
@@ -1029,7 +1104,7 @@ def stream_campaign(
     cheap).
 
     ``max_units`` bounds new simulation *attempts* across the whole run
-    (failures count — matching :func:`~repro.campaign.runner.execute_units`);
+    (failures count, as in :func:`~repro.campaign.runner.run_campaign`);
     once spent, later shards are still visited cache-only so the result
     stays a full progress report.  ``max_shards`` stops after that many
     shards entirely (smoke runs; also how tests emulate a killed campaign).
@@ -1051,58 +1126,14 @@ def stream_campaign(
 
     ``retry`` (or ``policy.retry``) enables per-unit retry rounds with
     capped exponential backoff and poison-unit quarantine: a unit that
-    fails ``max_attempts`` rounds is recorded in the store's
-    ``quarantine.jsonl``, excluded from every later pass, and the result's
+    fails ``max_attempts`` rounds, or fails validation (which repeats
+    exactly), is recorded in the store's ``quarantine.jsonl``, excluded
+    from every later pass, and the result's
     :attr:`~StreamingCampaignResult.status` reports ``degraded`` instead of
     blocking completion.  ``policy.faults`` installs a
     :class:`~repro.faults.FaultPlan` for the duration of the run (chaos
     testing; the previous plan is restored on exit).
     """
-
-    def _run() -> StreamingCampaignResult:
-        return _stream_campaign(
-            spec,
-            store_dir,
-            parallel=parallel,
-            catalog=catalog,
-            shard_size=shard_size,
-            max_units=max_units,
-            max_shards=max_shards,
-            batch=batch,
-            policy=policy,
-            progress=progress,
-            workers=workers,
-            lease_ttl=lease_ttl,
-            results_dir=results_dir,
-            retry=retry,
-        )
-
-    if policy is not None and policy.faults is not None:
-        previous = install_fault_plan(policy.faults)
-        try:
-            return _run()
-        finally:
-            install_fault_plan(previous)
-    return _run()
-
-
-def _stream_campaign(
-    spec: CampaignSpec,
-    store_dir: str | os.PathLike,
-    parallel: ParallelConfig | None = None,
-    catalog: Catalog | None = None,
-    shard_size: int | None = None,
-    max_units: int | None = None,
-    max_shards: int | None = None,
-    batch: bool | None = None,
-    policy: ExecutionPolicy | None = None,
-    progress: Callable[[ShardOutcome, int], None] | None = None,
-    workers: int | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    results_dir: str | os.PathLike | None = None,
-    retry: RetryPolicy | None = None,
-) -> StreamingCampaignResult:
-    """The streaming pass behind :func:`stream_campaign` (fault scope set)."""
     if policy is not None:
         parallel = policy.parallel_config() if parallel is None else parallel
         if batch is None:
@@ -1130,150 +1161,135 @@ def _stream_campaign(
             "workers > 1 executes whole shards concurrently and cannot "
             "honour max_units/max_shards caps; run those serially"
         )
+    with _policy_faults(policy):
+        store = CampaignStore(store_dir, results_dir=results_dir)
+        store.initialize_streaming(spec, shard_size)
 
-    store = CampaignStore(store_dir, results_dir=results_dir)
-    store.initialize_streaming(spec, shard_size)
+        if n_workers > 1:
+            # The pool populates shard artifacts; aggregation happens only in
+            # the serial pass below, which keeps bit-identity trivially.
+            _run_worker_pool(store, n_workers, batch, lease_ttl, catalog)
 
-    if n_workers > 1:
-        # The pool populates shard artifacts; aggregation happens only in
-        # the serial pass below, which keeps bit-identity trivially.
-        _run_worker_pool(store, n_workers, batch, lease_ttl, catalog)
-
-    config = parallel or ParallelConfig(backend="serial")
-    if config.backend != "serial":
-        # A campaign unit is a whole benchmark simulation; see execute_units
-        # for why the executor's cheap-work serial threshold must not apply.
-        config = replace(config, serial_threshold=0)
-
-    total_units = spec.n_units
-    n_shards = -(-total_units // shard_size)
-    recorded = store.shard_entries()
-    quarantined_keys = store.quarantine_keys()
-    reducer = FrameReducer()
-    outcomes: list[ShardOutcome] = []
-    failures: list[tuple[str, str]] = []
-    cache_hits = 0
-    simulated = 0
-    budget = max_units
-
-    # Always-on telemetry: one compact event per shard into the store's
-    # events.jsonl (this is what ``campaign watch`` tails), independent of
-    # the opt-in span tracer.  Purely observational — nothing below reads
-    # these back, so results stay bit-identical with or without them.
-    store.record_event(
-        "campaign_start",
-        name=spec.name,
-        n_units=total_units,
-        n_shards=n_shards,
-        shard_size=shard_size,
-        workers=n_workers,
-    )
-
-    def reflush(index: int) -> ShardOutcome:
-        # Only torn artifacts come back here, so re-keying the expansion up
-        # to the shard is a fault-path cost.  The torn artifact held the
-        # only copy of its rows, so they are re-simulated (no budget).
-        shard = next(islice(iter_shards(spec, catalog, shard_size=shard_size), index, None))
-        outcome, _ = _flush_shard(
-            shard, store, config, batch, catalog, None, retry=retry, quarantined=quarantined_keys
+        total_units = spec.n_units
+        n_shards = -(-total_units // shard_size)
+        step = ShardStep(
+            store,
+            campaign_config(parallel),
+            batch,
+            catalog,
+            budget=max_units,
+            retry=retry,
+            quarantined=store.quarantine_keys(),
+            recorded=store.shard_entries(),
         )
-        return outcome
+        reducer = FrameReducer()
+        outcomes: list[ShardOutcome] = []
+        failures: list[tuple[str, str]] = []
+        cache_hits = 0
+        simulated = 0
 
-    # Events carry quantiles compactly: one label list per event, one value
-    # list per column (``campaign watch`` also reads the older
-    # ``{column: {label: value}}`` form).
-    quantile_labels = [quantile_label(q) for q in reducer.quantiles]
+        # Always-on telemetry: one compact event per shard into the store's
+        # events.jsonl (this is what ``campaign watch`` tails), independent of
+        # the opt-in span tracer.  Purely observational — nothing below reads
+        # these back, so results stay bit-identical with or without them.
+        store.record_event(
+            "campaign_start",
+            name=spec.name,
+            n_units=total_units,
+            n_shards=n_shards,
+            shard_size=shard_size,
+            workers=n_workers,
+        )
 
-    tracer = get_tracer()
-    with tracer.span("campaign.stream", name=spec.name, n_shards=n_shards):
-        for shard in iter_shards(spec, catalog, shard_size=shard_size):
-            if max_shards is not None and shard.index >= max_shards:
-                break
-            shard_start = time.perf_counter()
-            reloaded = _reload_shard(
-                shard, store, recorded.get(shard.index, {}), quarantined_keys
+        def reflush(index: int) -> ShardOutcome:
+            # Only torn artifacts come back here, so re-keying the expansion up
+            # to the shard is a fault-path cost.  The torn artifact held the
+            # only copy of its rows, so they are re-simulated (no budget).
+            shard = next(islice(iter_shards(spec, catalog, shard_size=shard_size), index, None))
+            outcome, _ = _flush_shard(
+                shard,
+                store,
+                step.config,
+                batch,
+                catalog,
+                None,
+                retry=retry,
+                quarantined=step.quarantined,
             )
-            if reloaded is None and not _shard_recorded_complete(
-                shard, recorded.get(shard.index)
-            ):
-                # Reclaimer half of the worker protocol: a killed worker may
-                # have flushed this shard's artifact without landing its
-                # result record — adopt it instead of re-executing.
-                reloaded = _recover_shard(shard, store)
-            if reloaded is not None:
-                outcome, frame = reloaded
-            else:
-                outcome, frame = _flush_shard(
-                    shard,
-                    store,
-                    config,
-                    batch,
-                    catalog,
-                    budget,
-                    retry=retry,
-                    quarantined=quarantined_keys,
+            return outcome
+
+        # Events carry quantiles compactly: one label list per event, one value
+        # list per column (``campaign watch`` also reads the older
+        # ``{column: {label: value}}`` form).
+        quantile_labels = [quantile_label(q) for q in reducer.quantiles]
+
+        tracer = get_tracer()
+        with tracer.span("campaign.stream", name=spec.name, n_shards=n_shards):
+            for shard in iter_shards(spec, catalog, shard_size=shard_size):
+                if max_shards is not None and shard.index >= max_shards:
+                    break
+                shard_start = time.perf_counter()
+                outcome, frame = step(shard)
+                outcomes.append(outcome)
+                failures.extend(outcome.failures)
+                cache_hits += outcome.cache_hits
+                simulated += outcome.simulated
+                reducer.update(frame)
+                del frame  # the whole point: nothing accumulates
+                wall_s = time.perf_counter() - shard_start
+                store.record_event(
+                    "shard_flush",
+                    index=outcome.index,
+                    units=outcome.n_units,
+                    n_rows=outcome.n_rows,
+                    cache_hits=outcome.cache_hits,
+                    simulated=outcome.simulated,
+                    failed=len(outcome.failures),
+                    quarantined=outcome.quarantined,
+                    reloaded=outcome.reloaded,
+                    wall_s=wall_s,
+                    kernel_s=outcome.kernel_s,
+                    assembly_s=outcome.assembly_s,
+                    flush_bytes=outcome.flush_bytes,
+                    units_per_s=(outcome.n_units / wall_s) if wall_s > 0 else None,
+                    rows_total=reducer.n_rows,
+                    n_shards=n_shards,
+                    quantile_labels=quantile_labels,
+                    quantiles=_event_quantiles(reducer.last_quantiles),
                 )
-                if budget is not None:
-                    # Attempts spend the budget, successful or not, mirroring
-                    # the unsharded runner's pending[:max_units] semantics.
-                    budget -= outcome.simulated + len(outcome.failures)
-            outcomes.append(outcome)
-            failures.extend(outcome.failures)
-            cache_hits += outcome.cache_hits
-            simulated += outcome.simulated
-            reducer.update(frame)
-            del frame  # the whole point: nothing accumulates
-            wall_s = time.perf_counter() - shard_start
-            store.record_event(
-                "shard_flush",
-                index=outcome.index,
-                units=outcome.n_units,
-                n_rows=outcome.n_rows,
-                cache_hits=outcome.cache_hits,
-                simulated=outcome.simulated,
-                failed=len(outcome.failures),
-                quarantined=outcome.quarantined,
-                reloaded=outcome.reloaded,
-                wall_s=wall_s,
-                kernel_s=outcome.kernel_s,
-                assembly_s=outcome.assembly_s,
-                flush_bytes=outcome.flush_bytes,
-                units_per_s=(outcome.n_units / wall_s) if wall_s > 0 else None,
-                rows_total=reducer.n_rows,
-                n_shards=n_shards,
-                quantile_labels=quantile_labels,
-                quantiles=_event_quantiles(reducer.last_quantiles),
-            )
-            if progress is not None:
-                progress(outcome, n_shards)
-        quantiles = _campaign_quantiles(store, outcomes, reducer, reflush)
+                if progress is not None:
+                    progress(outcome, n_shards)
+            quantiles = _campaign_quantiles(store, outcomes, reducer, reflush)
 
-    # Latest quarantine record per key: what the result reports as excluded.
-    quarantine_records: dict[str, tuple[str, str]] = {}
-    for entry in store.quarantine_entries():
-        key = entry.get("key")
-        if isinstance(key, str):
-            quarantine_records[key] = (
-                str(entry.get("unit_id", key[:16])),
-                str(entry.get("error", "unknown error")),
-            )
-    # A one-shard pass's campaign quantiles are its shard's, which its
-    # shard_flush event already carries; ``campaign watch`` reads them there.
-    repeated = {}
-    if len(outcomes) != 1:
-        repeated = {"quantile_labels": quantile_labels, "quantiles": _event_quantiles(quantiles)}
-    store.record_event(
-        "campaign_complete",
-        name=spec.name,
-        shards=len(outcomes),
-        n_shards=n_shards,
-        cache_hits=cache_hits,
-        simulated=simulated,
-        failed=len(failures),
-        quarantined=len(quarantine_records),
-        rows_total=reducer.n_rows,
-        **repeated,
-    )
+        # Latest quarantine record per key: what the result reports as excluded.
+        quarantine_records: dict[str, tuple[str, str]] = {}
+        for entry in store.quarantine_entries():
+            key = entry.get("key")
+            if isinstance(key, str):
+                quarantine_records[key] = (
+                    str(entry.get("unit_id", key[:16])),
+                    str(entry.get("error", "unknown error")),
+                )
+        # A one-shard pass's campaign quantiles are its shard's, which its
+        # shard_flush event already carries; ``campaign watch`` reads them there.
+        repeated = {}
+        if len(outcomes) != 1:
+            repeated = {
+                "quantile_labels": quantile_labels,
+                "quantiles": _event_quantiles(quantiles),
+            }
+        store.record_event(
+            "campaign_complete",
+            name=spec.name,
+            shards=len(outcomes),
+            n_shards=n_shards,
+            cache_hits=cache_hits,
+            simulated=simulated,
+            failed=len(failures),
+            quarantined=len(quarantine_records),
+            rows_total=reducer.n_rows,
+            **repeated,
+        )
     return StreamingCampaignResult(
         total_units=total_units,
         shard_size=shard_size,
@@ -1302,10 +1318,11 @@ def resume_streaming(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     retry: RetryPolicy | None = None,
 ) -> StreamingCampaignResult:
-    """Continue an interrupted sharded campaign from its on-disk snapshot.
+    """Continue an interrupted campaign, streamed or resident, from its store.
 
-    The shard layout is read back from the store (falling back to
-    ``shard_size``/policy for stores that predate it), so a resume
+    The shard layout is an explicit ``shard_size``, else the one the store
+    recorded, else the policy's, else :data:`DEFAULT_SHARD_SIZE` (a store
+    written by an older resident run records none), so by default a resume
     partitions the expansion exactly as the interrupted run did — the
     precondition for shard-granular skipping.  ``workers=N`` resumes with a
     worker pool; completed shards reload, pending ones are claimed.

@@ -5,26 +5,28 @@ interrupted campaign without the original process:
 
 * ``spec.json`` — snapshot of the :class:`CampaignSpec` (``resume`` re-expands
   it instead of trusting in-memory state),
-* ``manifest.json`` — the expanded unit list (ids, keys, parameters), written
-  before execution starts so ``status`` can report progress against the full
-  grid even mid-run,
-* ``shards/`` — content-addressed columnar ``.npz`` frame artifacts, the one
-  place every completed row is stored: one per streamed shard, or one per
-  resident flush batch,
+* ``manifest.json`` — the unit count and the shard layout (units per shard)
+  the store was last run at, written before execution starts so ``status``
+  can report progress against the full grid even mid-run,
+* ``shards/`` — content-addressed columnar ``.npz`` frame artifacts, one per
+  flushed shard: the one place every completed row is stored,
 * ``results/index.jsonl`` — the :class:`ResultCache` index: one line per
   flushed artifact, mapping unit-key prefixes to its rows.  A campaign
   service points every job store at one shared results root instead,
 * ``ledger.jsonl`` — append-only per-unit outcome log (``ok`` / ``failed``
   with the captured error), the record of *attempts* as opposed to the
   cache's record of *successes*,
-* ``shards.jsonl`` — present for sharded streaming runs: the append-only
-  shard manifest (latest entry per shard index wins) pointing into
-  ``shards/``, the state that lets ``resume`` restart at shard granularity.
+* ``shards.jsonl`` — the append-only shard manifest (latest entry per shard
+  index wins) pointing into ``shards/``, the state that lets ``resume``
+  restart at shard granularity.
 
 Because results are keyed by content and the ledger is append-only, a store
 survives being killed at any point: the next run simply simulates whatever
-keys are missing from the cache.  Stores written before the index keep one
-JSON file per unit under ``results/``; the cache still reads them.
+keys are missing from the cache.  Stores written by older versions are
+read, never written: a resident store's ``manifest.json`` may list every
+unit (``status`` walks it against the cache), and its ``results/`` may keep
+one JSON file per unit (the cache still reads them).  The next run over
+such a store records a shard layout.
 
 Record kinds and concurrency
 ----------------------------
@@ -74,9 +76,9 @@ SHARD_SCHEMA = 1
 class ShardProgress:
     """Shard-level progress of a streaming store's flush pipeline.
 
-    ``status`` on a resident (non-sharded) store carries no shard
-    progress; for streaming stores this is what makes ``campaign status``
-    and ``campaign watch`` agree — both read the same shard manifest.
+    Only stores with a shard layout carry it (a store written by an older
+    resident run has none); it is what makes ``campaign status`` and
+    ``campaign watch`` agree — both read the same shard manifest.
     """
 
     total: int
@@ -152,9 +154,9 @@ class CampaignStore:
         directory: str | os.PathLike,
         results_dir: str | os.PathLike | None = None,
     ):
-        # The directory is created by ``initialize`` (and lazily by cache
-        # writes), never by construction: ``status`` on a mistyped path must
-        # not scaffold an empty store.
+        # The directory is created by ``initialize_streaming`` (and lazily by
+        # cache writes), never by construction: ``status`` on a mistyped path
+        # must not scaffold an empty store.
         self.directory = Path(directory)
         self._explicit_results_dir = (
             Path(results_dir) if results_dir is not None else None
@@ -269,33 +271,13 @@ class CampaignStore:
                 encoding="utf-8",
             )
 
-    def initialize(self, spec: CampaignSpec, units: tuple[CampaignUnit, ...]) -> None:
-        """Record the spec snapshot and full unit manifest before execution."""
-        self._write_spec_snapshot(spec)
-        manifest = {
-            "name": spec.name,
-            "units": [
-                {
-                    "index": unit.index,
-                    "unit_id": unit.unit_id,
-                    "key": unit.key,
-                    "params": {k: _jsonable(v) for k, v in unit.params.items()},
-                }
-                for unit in units
-            ],
-        }
-        self.manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
-
     def initialize_streaming(self, spec: CampaignSpec, shard_size: int) -> None:
         """Record the spec snapshot and a *light* manifest (no unit list).
 
-        A sharded streaming run never materialises the full expansion, so
-        the manifest holds only the unit count and the shard layout —
-        O(plan)-sized per-unit metadata would defeat the bounded-memory
-        contract.  ``status`` and ``resume`` work from the cache, the
-        ledger and the shard manifest instead.
+        Every run executes shard by shard, so the manifest holds only the
+        unit count and the shard layout — O(plan)-sized per-unit metadata
+        would defeat a streamed run's bounded-memory contract.  ``status``
+        and ``resume`` work from the ledger and the shard manifest.
         """
         self._write_spec_snapshot(spec)
         manifest: dict[str, Any] = {
@@ -309,18 +291,22 @@ class CampaignStore:
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
 
-    def stored_shard_size(self) -> int | None:
-        """The shard layout the store was last initialised with, if any."""
+    def _layout(self) -> tuple[int, int] | None:
+        """``(shard_size, n_units)`` the store was last initialised with, if any."""
         try:
             data = self._read_json(self.manifest_path, "missing", "manifest")
         except CampaignError:
             return None
         sharded = data.get("sharded")
-        if isinstance(sharded, Mapping):
-            size = sharded.get("shard_size")
-            if isinstance(size, int) and size >= 1:
-                return size
-        return None
+        size = sharded.get("shard_size") if isinstance(sharded, Mapping) else None
+        if not isinstance(size, int) or size < 1:
+            return None
+        return size, int(data.get("n_units", 0))
+
+    def stored_shard_size(self) -> int | None:
+        """The shard layout the store was last initialised with, if any."""
+        layout = self._layout()
+        return None if layout is None else layout[0]
 
     def _read_json(self, path: Path, missing: str, what: str) -> Any:
         """Read one JSON document, mapping IO failures to campaign errors."""
@@ -340,15 +326,6 @@ class CampaignStore:
         )
         return CampaignSpec.from_dict(data)
 
-    def load_manifest(self) -> list[dict[str, Any]]:
-        """Per-unit manifest entries; empty for light (streaming) manifests."""
-        data = self._read_json(
-            self.manifest_path,
-            f"{self.directory} has no manifest; run the campaign first",
-            "manifest",
-        )
-        return data.get("units", [])
-
     # ------------------------------------------------------------------ #
     @staticmethod
     def _ledger_entry(unit: CampaignUnit, error: str | None) -> dict[str, Any]:
@@ -361,18 +338,14 @@ class CampaignStore:
             entry["error"] = error
         return entry
 
-    def record(self, unit: CampaignUnit, error: str | None = None) -> None:
-        """Append one attempt outcome to the ledger."""
-        append_jsonl(self.ledger_path, [self._ledger_entry(unit, error)])
-
     def record_many(
         self, outcomes: "Iterable[tuple[CampaignUnit, str | None]]"
     ) -> None:
         """Append a batch of attempt outcomes as one atomic write.
 
-        The streaming runner flushes one shard at a time; a single
-        ``O_APPEND`` write per shard keeps ledger bookkeeping cheap at
-        100k-unit scale *and* keeps concurrent workers' batches contiguous.
+        Runs flush one shard at a time; a single ``O_APPEND`` write per
+        shard keeps ledger bookkeeping cheap at 100k-unit scale *and* keeps
+        concurrent workers' batches contiguous.
         """
         append_jsonl(
             self.ledger_path,
@@ -388,7 +361,7 @@ class CampaignStore:
         return self._jsonl_entries(self.ledger_path)
 
     # ------------------------------------------------------------------ #
-    # Shard manifest (sharded streaming runs)
+    # Shard manifest
     # ------------------------------------------------------------------ #
     def record_shard(self, entry: Mapping[str, Any]) -> None:
         """Append one shard outcome to the shard manifest.
@@ -505,32 +478,46 @@ class CampaignStore:
         """
         return JsonlFollower(self.events_path)
 
-    def shard_progress(self) -> "ShardProgress | None":
-        """Shard-level progress from the manifest + shard log (or ``None``).
+    def layout_entries(self) -> dict[int, dict[str, Any]]:
+        """Latest result record per shard of the stored layout.
 
-        Only streaming stores have a shard layout; resident stores return
-        ``None`` so ``status`` keeps its unit-level shape for them.
+        A store re-run at another shard size keeps the old layout's records
+        in ``shards.jsonl``; they cover other unit ranges, so only records
+        whose ``start`` and ``count`` match the stored layout are returned
+        (none for a store without a layout).
         """
-        shard_size = self.stored_shard_size()
-        if shard_size is None:
+        layout = self._layout()
+        if layout is None:
+            return {}
+        shard_size, n_units = layout
+        return {
+            index: entry
+            for index, entry in self.shard_entries().items()
+            if entry.get("start") == index * shard_size
+            and entry.get("count") == min(shard_size, n_units - index * shard_size)
+        }
+
+    def shard_progress(self) -> "ShardProgress | None":
+        """Shard-level progress over :meth:`layout_entries` (or ``None``).
+
+        Stores written by an older resident run have no layout and return
+        ``None``.
+        """
+        layout = self._layout()
+        if layout is None:
             return None
-        try:
-            data = self._read_json(self.manifest_path, "missing", "manifest")
-        except CampaignError:
-            return None
-        n_units = int(data.get("n_units", 0))
-        total = -(-n_units // shard_size) if n_units else 0
+        shard_size, n_units = layout
         complete = 0
         partial = 0
         rows = 0
-        for entry in self.shard_entries().values():
+        for entry in self.layout_entries().values():
             if entry.get("status") == "complete":
                 complete += 1
             else:
                 partial += 1
             rows += int(entry.get("n_rows", 0))
         return ShardProgress(
-            total=max(total, complete + partial),
+            total=-(-n_units // shard_size),
             complete=complete,
             partial=partial,
             rows_flushed=rows,
@@ -541,10 +528,10 @@ class CampaignStore:
     def status(self) -> CampaignStatus:
         """Progress against the manifest, from cache + ledger state.
 
-        Full manifests are walked unit by unit against the cache.  Light
-        (streaming) manifests carry no unit list, so completion is the rows
-        this store's shard records hold and failures come from the ledger —
-        O(shards) instead of O(plan) metadata.
+        Completion is the rows this store's shard records hold and failures
+        come from the ledger — O(shards) instead of O(plan) metadata.  A
+        manifest that lists every unit (written by an older resident run)
+        is walked unit by unit against the cache instead.
         """
         spec = self.load_spec()
         data = self._read_json(
@@ -561,6 +548,7 @@ class CampaignStore:
                 last_error[entry["key"]] = entry.get("error", "unknown error")
             else:
                 last_error.pop(entry["key"], None)
+        progress = self.shard_progress()
         completed = 0
         failures: list[tuple[str, str]] = []
         if manifest is None:
@@ -568,9 +556,8 @@ class CampaignStore:
             # The index keeps key prefixes only, so it cannot enumerate this
             # campaign's units (and a shared one holds other campaigns');
             # the rows flushed into this store's shards are its completion.
-            completed = sum(
-                int(entry.get("n_rows", 0)) for entry in self.shard_entries().values()
-            )
+            if progress is not None:
+                completed = progress.rows_flushed
             for key, error in last_error.items():
                 if key not in self.cache:
                     failures.append((unit_ids[key], error))
@@ -590,12 +577,6 @@ class CampaignStore:
             completed=completed,
             failed=len(failures),
             failures=tuple(failures),
-            shards=self.shard_progress(),
+            shards=progress,
             quarantined=len(quarantined),
         )
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return list(value)
-    return value

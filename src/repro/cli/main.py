@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--shard-size", type=_positive_int, default=None,
                       help="execute the sweep in shards of N units, flushing "
                            "each shard to the store before the next starts "
-                           "(bounded-memory streaming; default: unsharded)")
+                           "(bounded-memory streaming; default: a resident "
+                           "run, whose whole frame stays in memory)")
     crun.add_argument("--workers", type=_positive_int, default=None,
                       help="fan shards out across N lease-coordinated worker "
                            "processes (requires --shard-size; results are "
@@ -242,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "vectorized batch kernel")
     cresume.add_argument("--shard-size", type=_positive_int, default=None,
                          help="resume shard by shard with this layout "
-                              "(default: the layout recorded in the store, "
-                              "else unsharded)")
+                              "(default: the layout recorded in the store)")
     cresume.add_argument("--workers", type=_positive_int, default=None,
                          help="resume with N lease-coordinated worker "
-                              "processes (sharded stores only)")
+                              "processes")
     cresume.add_argument("--retries", type=_positive_int, default=None,
                          help="attempts per unit before it is quarantined as "
-                              "a poison unit (sharded stores only)")
+                              "a poison unit")
     _add_session_flags(cresume)
     cworker = csub.add_parser(
         "worker",
@@ -630,32 +630,19 @@ def _dispatch(session, args: argparse.Namespace) -> int:
                 )
                 result = handle.result()
             else:  # resume
-                from ..campaign import (
-                    CampaignStore,
-                    resume_campaign,
-                    resume_streaming,
-                )
+                from ..campaign import resume_streaming
 
-                # A store that recorded a shard layout resumes at shard
-                # granularity; --shard-size overrides (or enables) it.
-                shard_size = args.shard_size
-                if shard_size is None:
-                    shard_size = CampaignStore(args.store).stored_shard_size()
-                if shard_size is not None:
-                    result = resume_streaming(
-                        args.store,
-                        shard_size=shard_size,
-                        max_units=args.max_units,
-                        policy=session.policy,
-                        progress=_shard_progress,
-                        workers=args.workers,
-                    )
-                else:
-                    result = resume_campaign(
-                        args.store,
-                        max_units=args.max_units,
-                        policy=session.policy,
-                    )
+                # Every store resumes at its recorded shard layout (a store
+                # without one at the policy's, else the default);
+                # --shard-size overrides it.
+                result = resume_streaming(
+                    args.store,
+                    shard_size=args.shard_size,
+                    max_units=args.max_units,
+                    policy=session.policy,
+                    progress=_shard_progress,
+                    workers=args.workers,
+                )
         except CampaignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -60,6 +60,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..errors import CampaignError, InjectedFault
@@ -223,7 +224,7 @@ def resolve_fault_plan(spec: "FaultPlan | str | Mapping[str, Any]") -> FaultPlan
     text = spec.strip()
     if not text.startswith("{"):
         try:
-            text = open(text, encoding="utf-8").read()
+            text = Path(text).read_text(encoding="utf-8")
         except OSError as exc:
             raise CampaignError(f"cannot read fault plan file {spec!r}: {exc}") from exc
     try:

@@ -1,12 +1,9 @@
-"""Filesystem helpers: dataset caching, workspace paths, atomic JSONL logs."""
+"""Filesystem helpers: workspace paths and atomic JSONL logs."""
 
-from .cache import FrameCache, cached_frame
 from .jsonl import append_jsonl, dumps_line, read_jsonl
 from .paths import Workspace, ensure_dir
 
 __all__ = [
-    "FrameCache",
-    "cached_frame",
     "Workspace",
     "ensure_dir",
     "append_jsonl",

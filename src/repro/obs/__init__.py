@@ -1,4 +1,4 @@
-"""Zero-dependency observability: tracing, metrics, profiling and alerts.
+"""Zero-dependency observability: tracing, profiling, watching and alerts.
 
 The telemetry plane of the pipeline, deliberately decoupled from what it
 observes:
@@ -8,8 +8,6 @@ observes:
   ``events.jsonl`` sinks.  Off by default; a disabled tracer costs one
   no-op context manager per span (overhead gated in
   ``benchmarks/test_bench_obs.py``).
-* :mod:`repro.obs.metrics` — a registry of counters, gauges and mergeable
-  fixed-edge histograms.
 * :mod:`repro.obs.profile` — per-span self-time aggregation over an event
   log (``spectrends profile report``).
 * :mod:`repro.obs.watch` — live rendering of a running campaign store
@@ -25,14 +23,9 @@ pinned with tracing enabled).
 stays importable from inside :mod:`repro.campaign` without a cycle.
 """
 
-from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from .trace import JsonlSink, Span, Tracer, configure_tracing, get_tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "StreamingHistogram",
     "JsonlSink",
     "Span",
     "Tracer",

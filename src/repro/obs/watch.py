@@ -142,7 +142,7 @@ def render_watch_frame(
     progress = status.shards
     if progress is not None:
         lines.append(f"  {progress.describe()}")
-        states = _shard_states(store.shard_entries(), progress.total)
+        states = _shard_states(store.layout_entries(), progress.total)
         lines.append(f"shards  {ascii_shard_strip(states, width=strip_width)}")
     if status.quarantined:
         state = "degraded" if status.is_degraded else "pending"

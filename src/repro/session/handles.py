@@ -679,55 +679,36 @@ class CampaignHandle(ArtifactHandle):
 
         return CampaignStore(self.store_dir).status()
 
-    def resume(
-        self, max_units: int | None = None
-    ) -> "CampaignResult | StreamingCampaignResult":
-        """Continue an interrupted campaign; refreshes the session memo."""
+    def resume(self, max_units: int | None = None) -> "StreamingCampaignResult":
+        """Continue an interrupted campaign at its recorded shard layout.
+
+        Every store resumes streaming, so a resume never materialises the
+        plan.  The layout is this handle's explicit ``shard_size``, else the
+        one the store recorded, else the policy's.  Only a sharded handle's
+        complete, unbounded result refreshes the session memo: an unsharded
+        handle's artifact is the resident :class:`CampaignResult`.
+        """
+        from ..campaign import CampaignStore, resume_streaming
+
         policy = self._session.policy
-        from ..campaign import CampaignStore
-
-        # A store that recorded a shard layout must resume streaming even
-        # when this handle is unsharded: a resident resume_campaign over a
-        # streamed 100k-unit store would materialise the whole plan and
-        # defeat the bounded-memory contract the layout was recorded for.
-        stored_layout = CampaignStore(self.store_dir).stored_shard_size()
-        if self.sharded or stored_layout is not None:
-            from ..campaign import resume_streaming
-
-            # An explicitly requested layout wins; otherwise resume with
-            # the layout the interrupted run recorded (the precondition for
-            # shard-granular skipping), falling back to the policy's.
-            shard_size = self._explicit_shard_size
-            if shard_size is None:
-                shard_size = stored_layout or policy.effective_shard_size
-            result = resume_streaming(
-                self.store_dir,
-                parallel=policy.parallel_config(),
-                catalog=self._session._worker_catalog(),
-                shard_size=shard_size,
-                max_units=max_units,
-                batch=policy.use_batch_kernel,
-                progress=self._progress,
-                # A capped resume is a budgeted top-up; fan-out is for
-                # full runs only (caps are per-run, not per-worker).
-                workers=None if max_units is not None else self.workers,
-                retry=policy.retry,
-                policy=policy if policy.faults is not None else None,
-            )
-        else:
-            from ..campaign import resume_campaign
-
-            result = resume_campaign(
-                self.store_dir,
-                parallel=policy.parallel_config(),
-                catalog=self._session._worker_catalog(),
-                max_units=max_units,
-                batch=policy.use_batch_kernel,
-            )
-        # Only a complete, unbounded result may stand in for the artifact;
-        # a bounded resume is partial progress, not the campaign.  A
-        # streaming result produced for an unsharded handle (stored layout
-        # override) must not impersonate the resident artifact either.
-        if max_units is None and (self.sharded or stored_layout is None):
+        shard_size = self._explicit_shard_size
+        if shard_size is None:
+            stored = CampaignStore(self.store_dir).stored_shard_size()
+            shard_size = stored or policy.effective_shard_size
+        result = resume_streaming(
+            self.store_dir,
+            parallel=policy.parallel_config(),
+            catalog=self._session._worker_catalog(),
+            shard_size=shard_size,
+            max_units=max_units,
+            batch=policy.use_batch_kernel,
+            progress=self._progress,
+            # A capped resume is a budgeted top-up; fan-out is for
+            # full runs only (caps are per-run, not per-worker).
+            workers=None if max_units is not None else self.workers,
+            retry=policy.retry,
+            policy=policy if policy.faults is not None else None,
+        )
+        if max_units is None and self.sharded:
             self._session._memo_put(self.kind, self._memo_key, result)
         return result

@@ -61,8 +61,7 @@ def analyze_frame(
 ) -> AnalysisResult:
     """Run the paper's analysis pipeline over an in-memory run frame.
 
-    This is the workspace-free core of :meth:`Session.analysis`; the
-    deprecated :func:`repro.api.analyze` shim delegates here.
+    This is the workspace-free core of :meth:`Session.analysis`.
     """
     from ..core.dataset import derive_columns
     from ..core.figures import all_figures
@@ -516,14 +515,19 @@ class Session:
         ``workload`` preset supplies base values for option axes the spec
         leaves unset.
 
+        Without a shard layout the handle runs resident
+        (:func:`~repro.campaign.runner.run_campaign`: shards of
+        ``chunk_size x workers`` units, the whole frame returned in memory
+        as a :class:`~repro.campaign.runner.CampaignResult`).
         ``shard_size`` routes execution through the sharded streaming
-        runner (resident memory O(shard_size), result a
+        runner instead (resident memory O(shard_size), result a
         :class:`~repro.campaign.sharding.StreamingCampaignResult`); the
         session policy's ``shard_size``/``max_resident_results`` supply the
-        default.  ``workers`` fans a sharded run out across that many
-        lease-coordinated worker processes (default: the policy's
-        ``campaign_workers``); results are bit-identical for any worker
-        count, so like every execution knob it stays out of the keys.
+        default.  ``resume()`` always streams.  ``workers`` fans a sharded
+        run out across that many lease-coordinated worker processes
+        (default: the policy's ``campaign_workers``); results are
+        bit-identical for any worker count, so like every execution knob it
+        stays out of the keys.
         ``progress`` is invoked after every flushed shard (the CLI's
         streaming status line) and, being an observer, never enters any
         key.

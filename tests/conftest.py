@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import analyze, generate_corpus, load_dataset
 from repro.core.filters import apply_paper_filters
 from repro.frame import Frame
 from repro.market import FleetSampler, default_catalog
+from repro.session import Session
+from repro.session.session import analyze_frame
 from repro.simulator import RunDirector, SimulationOptions
 
 CORPUS_RUNS = 160
@@ -23,14 +24,16 @@ CORPUS_SEED = 424242
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory) -> str:
     directory = tmp_path_factory.mktemp("corpus")
-    generate_corpus(directory, total_parsed_runs=CORPUS_RUNS, seed=CORPUS_SEED)
+    with Session() as session:
+        session.corpus(runs=CORPUS_RUNS, seed=CORPUS_SEED, directory=directory).result()
     return str(directory)
 
 
 @pytest.fixture(scope="session")
 def run_frame(corpus_dir) -> Frame:
     """Parsed + derived run table of the session corpus."""
-    return load_dataset(corpus_dir)
+    with Session() as session:
+        return session.dataset(corpus=corpus_dir).result()
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +44,7 @@ def filtered_frame(run_frame) -> Frame:
 
 @pytest.fixture(scope="session")
 def analysis_result(run_frame):
-    return analyze(run_frame, include_table1=False, include_figures=False)
+    return analyze_frame(run_frame, table1=False, figures=False)
 
 
 @pytest.fixture(scope="session")

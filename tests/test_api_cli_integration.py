@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro import Frame, analyze, parse_corpus, quick_dataset
+from repro import Frame, Session
 from repro.cli.main import build_parser, main
+from repro.session.session import analyze_frame
+
+
+def parse_corpus(directory):
+    with Session() as session:
+        return session.dataset(corpus=directory).parse_report()
 
 
 class TestApi:
@@ -20,7 +26,9 @@ class TestApi:
         assert len(report.rejected) > 0
 
     def test_quick_dataset_keeps_files_when_directory_given(self, tmp_path):
-        frame = quick_dataset(n_runs=40, seed=3, directory=tmp_path / "kept")
+        with Session() as session:
+            corpus = session.corpus(runs=40, seed=3, directory=tmp_path / "kept")
+            frame = session.dataset(corpus=corpus).result()
         assert len(frame) > 0
         assert list((tmp_path / "kept").glob("*.txt"))
 
@@ -31,7 +39,7 @@ class TestApi:
         assert analysis_result.era_comparisons
 
     def test_analyze_with_figures(self, run_frame, tmp_path):
-        result = analyze(run_frame, include_table1=False, include_figures=True)
+        result = analyze_frame(run_frame, table1=False, figures=True)
         assert len(result.figures) == 6
         written = result.save_figures(tmp_path)
         assert len(written) >= 12  # at least one CSV and one SVG per figure
@@ -40,7 +48,7 @@ class TestApi:
     def test_analyze_derives_when_needed(self, corpus_dir):
         report = parse_corpus(corpus_dir)
         raw = report.to_frame()  # no derived columns yet
-        result = analyze(raw, include_table1=False)
+        result = analyze_frame(raw, table1=False)
         assert "overall_efficiency" in result.unfiltered
 
 

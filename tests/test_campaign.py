@@ -6,13 +6,11 @@ import json
 
 import pytest
 
-from repro.api import analyze, run_campaign as api_run_campaign
 from repro.campaign import (
     CampaignSpec,
     CampaignStore,
     FrameAccumulator,
     ResultCache,
-    execute_units,
     resume_campaign,
     run_campaign,
     unit_key,
@@ -20,8 +18,11 @@ from repro.campaign import (
 from repro.campaign.aggregate import assemble_frame
 from repro.cli.main import main as cli_main
 from repro.errors import CampaignError, SimulationError
+from repro.parallel import ParallelConfig
+from repro.session import Session
 from repro.session.artifacts import ArtifactStore
 from repro.session.columnar import frame_to_arrays
+from repro.session.session import analyze_frame
 from repro.simulator import SimulationOptions
 
 GENERATIONS = ["Xeon X5670", "Xeon Platinum 8480+", "EPYC 9654"]
@@ -297,7 +298,7 @@ class TestRunner:
 
     def test_frame_flows_into_analyze(self, completed_campaign):
         _, _, result = completed_campaign
-        analysis = analyze(result.frame, include_table1=False)
+        analysis = analyze_frame(result.frame, table1=False)
         assert len(analysis.filtered) == 9
         assert "overall_efficiency" in analysis.filtered
         assert analysis.filtered["overall_efficiency"].count() == 9
@@ -331,22 +332,41 @@ class TestRunner:
         assert len(resumed.frame) == 9
         assert CampaignStore(store_dir).status().is_complete
 
-    def test_unit_failure_captured_without_aborting(self, tmp_path):
+    def test_resume_frame_takes_the_snapshot_column_order(self, tmp_path):
+        # spec.json sorts base keys, so the snapshot annotates campaign_*
+        # columns in another order than this in-memory spec; shards flushed
+        # before the resume keep the in-memory order, yet the resumed frame
+        # is the snapshot's, as a fresh run of the snapshot would give it.
+        spec = CampaignSpec(
+            name="column-order",
+            sweep={"cpu_model": GENERATIONS, "seed": [1, 2]},
+            base={"nodes": 1, **FAST_BASE},
+        )
+        store_dir = tmp_path / "store"
+        config = ParallelConfig(backend="serial", chunk_size=2)
+        run_campaign(spec, store_dir, parallel=config, max_units=3)
+        resumed = resume_campaign(store_dir, parallel=config)
+        snapshot = CampaignStore(store_dir).load_spec()
+        fresh = run_campaign(snapshot, tmp_path / "fresh")
+        assert [name for name in fresh.frame.columns if name.startswith("campaign_")][3:5] == [
+            "campaign_load_levels",
+            "campaign_nodes",
+        ]
+        assert resumed.frame.columns == fresh.frame.columns
+        assert resumed.frame.equals(fresh.frame)
+
+    def test_unit_failure_captured_without_aborting(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
         spec = small_spec(name="faulty", seeds=(1,))
         units = spec.expand()
         # Corrupt one unit so its worker fails: the plan names a CPU the
         # worker's catalog does not contain.
-        bad_plan = replace(units[1].plan, cpu_model="No Such CPU")
-        broken = type(units[1])(
-            index=units[1].index, key=units[1].key, params=units[1].params,
-            plan=bad_plan, options=units[1].options, seed=units[1].seed,
-        )
+        broken = replace(units[1], plan=replace(units[1].plan, cpu_model="No Such CPU"))
         units = (units[0], broken, units[2])
+        monkeypatch.setattr(CampaignSpec, "iter_units", lambda self, catalog=None: iter(units))
         store = CampaignStore(tmp_path / "store")
-        store.initialize(spec, units)
-        result = execute_units(units, store)
+        result = run_campaign(spec, store.directory)
         assert result.simulated == 2
         assert len(result.failures) == 1
         assert "unknown CPU model" in result.failures[0][1]
@@ -395,9 +415,8 @@ class TestStore:
     def test_store_rejects_conflicting_spec(self, completed_campaign):
         spec, store_dir, _ = completed_campaign
         other = small_spec(seeds=(4, 5, 6))
-        store = CampaignStore(store_dir)
         with pytest.raises(CampaignError, match="different spec"):
-            store.initialize(other, other.expand())
+            run_campaign(other, store_dir)
 
     def test_status_on_non_store_directory(self, tmp_path):
         with pytest.raises(CampaignError, match="no spec.json"):
@@ -418,12 +437,14 @@ class TestStore:
 class TestWiring:
     def test_api_accepts_dict_and_path(self, tmp_path):
         spec_dict = small_spec(name="api-dict", seeds=(21,)).to_dict()
-        result = api_run_campaign(spec_dict, tmp_path / "s1")
+        with Session() as session:
+            result = session.campaign(spec_dict, store=tmp_path / "s1").result()
         assert result.total_units == 3
 
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_dict), encoding="utf-8")
-        again = api_run_campaign(path, tmp_path / "s2")
+        with Session() as session:
+            again = session.campaign(path, store=tmp_path / "s2").result()
         assert again.total_units == 3 and again.simulated == 3
         assert again.frame.equals(result.frame)
 

@@ -201,6 +201,34 @@ def test_a_shard_of_hits_simulated_rows_failures_and_retries(tmp_path):
     assert mixed.frame().equals(accumulator.to_frame())
 
 
+def test_validation_failures_are_quarantined_without_retry_rounds(tmp_path, monkeypatch):
+    # A validation failure repeats bit for bit (same plan, options and
+    # seed), so a retry policy quarantines it on its first attempt instead
+    # of re-simulating it until max_attempts.
+    rounds: list[int] = []
+    dispatch = runner.dispatch_simulations
+
+    def counting(units, *args):
+        rounds.append(len(units))
+        return dispatch(units, *args)
+
+    monkeypatch.setattr(runner, "dispatch_simulations", counting)
+    n_units = MIXED.n_units
+    plain = stream_campaign(MIXED, tmp_path / "plain", shard_size=n_units)
+    retry = RetryPolicy(max_attempts=3, backoff_base=0.0)
+    retried = stream_campaign(MIXED, tmp_path / "retried", shard_size=n_units, retry=retry)
+    assert rounds == [n_units, n_units]  # one dispatch round each
+    failed = sorted(unit_id for unit_id, _ in plain.failures)
+    assert len(failed) == 3 and sorted(unit_id for unit_id, _ in retried.failures) == failed
+    quarantine = CampaignStore(tmp_path / "retried").quarantine_entries()
+    assert sorted(entry["unit_id"] for entry in quarantine) == failed
+    assert {(entry["error"], entry["attempts"]) for entry in quarantine} == {
+        ("validation: implausible_core_count", 1)
+    }
+    assert retried.status == "degraded"
+    assert retried.frame().equals(plain.frame())
+
+
 def dispatch_order(units):
     """The order the batch kernel meets units: options groups, first seen first."""
     groups: dict = {}

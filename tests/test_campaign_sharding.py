@@ -26,6 +26,7 @@ from repro.campaign.reduce import (
     quantile_label,
     valid_values,
 )
+from repro.campaign.store import ShardProgress
 from repro.cli.main import main as cli_main
 from repro.errors import CampaignError, SessionError
 from repro.frame import Frame
@@ -288,6 +289,23 @@ class TestStreamCampaign:
         status = CampaignStore(store_dir).status()
         assert status.total == 18 and status.completed == 18
         assert status.is_complete and status.failed == 0
+
+    def test_status_counts_only_the_stored_layout(self, tmp_path):
+        # A re-run at another shard size leaves the old layout's records in
+        # shards.jsonl; they cover other unit ranges and must not count.
+        spec = sharded_spec(name="relayout", seeds=(1, 2, 3, 4))
+        store_dir = tmp_path / "store"
+        stream_campaign(spec, store_dir, shard_size=4, max_shards=3)
+        stream_campaign(spec, store_dir, shard_size=8)
+        store = CampaignStore(store_dir)
+        assert len(store.shard_entries()) == 3  # layout 8's 0-1, layout 4's 2
+        assert sorted(store.layout_entries()) == [0, 1]
+        status = store.status()
+        assert (status.total, status.completed, status.pending) == (12, 12, 0)
+        assert status.shards == ShardProgress(
+            total=2, complete=2, partial=0, rows_flushed=12, shard_size=8
+        )
+        assert "shards: 2/2 complete, 0 partial, 0 pending (12 rows flushed" in status.describe()
 
     def test_invalid_shard_size_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="shard_size"):

@@ -136,6 +136,11 @@ class TestFaultPlan:
         assert again.to_dict() == plan.to_dict()
         assert again.seed == 11 and len(again.rules) == 3
 
+    # An unclosed plan file warns from the garbage collector, which pytest
+    # reports as an unraisable exception: both fail the test.
+    @pytest.mark.filterwarnings(
+        "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+    )
     def test_resolve_inline_json_file_and_errors(self, tmp_path):
         data = {"seed": 3, "rules": [{"site": "s", "kind": "raise", "nth": 1}]}
         inline = resolve_fault_plan(json.dumps(data))

@@ -14,6 +14,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -23,10 +24,12 @@ from repro.campaign import (
     resume_campaign,
     resume_streaming,
     run_campaign,
+    scan_shards,
     stream_campaign,
 )
 from repro.campaign.cache import INDEX_NAME
 from repro.cli.main import main as cli_main
+from repro.frame.csvio import frame_to_csv_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 EXPECTED = json.loads((GOLDEN / "expected.json").read_text(encoding="utf-8"))
@@ -105,3 +108,23 @@ class TestGoldenStores:
             f"campaign golden: {status['completed']}/{status['total']} units completed"
             in capsys.readouterr().out
         )
+
+
+@pytest.mark.parametrize("name", ["streamed", "streamed-partial"])
+def test_query_and_scan_read_the_recorded_shards(tmp_path, name, capsys):
+    store_dir = golden_copy(tmp_path, name)
+    spec = CampaignSpec.from_dict(EXPECTED["spec"])
+    fresh = stream_campaign(spec, tmp_path / "fresh", shard_size=EXPECTED["shard_size"]).frame()
+    # The recorded shards hold the rows of every unit the ledger completed:
+    # all of them in the complete store, a prefix in the partial one.
+    done = {
+        entry["key"]
+        for entry in CampaignStore(store_dir).ledger_entries()
+        if entry["status"] == "ok"
+    }
+    keys = fresh["campaign_key"].to_list()
+    expected = fresh.take(np.array([i for i, key in enumerate(keys) if key in done], dtype=np.intp))
+    assert len(expected) == EXPECTED["stores"][name]["status"]["completed"]
+    assert scan_shards(store_dir).collect().equals(expected)
+    assert cli_main(["campaign", "query", "--store", str(store_dir)]) == 0
+    assert capsys.readouterr().out == frame_to_csv_text(expected)

@@ -21,13 +21,7 @@ from repro.campaign.reduce import (
 from repro.errors import StatsError
 from repro.frame import Frame
 from repro.market.anomalies import AnomalyKind
-from repro.obs import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    StreamingHistogram,
-    Tracer,
-)
+from repro.obs import Tracer
 from repro.obs.alerts import (
     AlertEngine,
     DriftRule,
@@ -190,79 +184,6 @@ class TestReducerQuantiles:
         # Without whole-stream quantiles the summary reports None for them.
         row = reducer.to_frame().to_records()[0]
         assert row["count"] == 5 and row["p50"] is None
-
-
-# --------------------------------------------------------------------------- #
-# Metrics
-# --------------------------------------------------------------------------- #
-class TestMetrics:
-    def test_counter(self):
-        c = Counter("units")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(StatsError):
-            c.inc(-1)
-
-    def test_gauge_merge_last_wins(self):
-        a, b = Gauge("rate"), Gauge("rate")
-        a.set(1.0)
-        b.set(2.0)
-        a.merge(b)
-        assert a.value == 2.0
-        a.merge(Gauge("rate"))  # unset gauge leaves the value alone
-        assert a.value == 2.0
-
-    def test_histogram_binning(self):
-        h = StreamingHistogram("lat", edges=[0.0, 1.0, 2.0])
-        h.update([0.5, 1.0, 1.5, 2.0, -1.0, 5.0, float("nan"), None])
-        assert h.counts == [1, 3]  # 2.0 lands in the closed last bin
-        assert h.underflow == 1 and h.overflow == 1
-        assert h.total == 6
-
-    def test_histogram_merge_and_to_histogram(self):
-        from repro.stats.distribution import Histogram
-
-        a = StreamingHistogram("lat", edges=[0.0, 1.0, 2.0])
-        b = StreamingHistogram("lat", edges=[0.0, 1.0, 2.0])
-        a.update([0.5])
-        b.update([1.5])
-        a.merge(b)
-        assert a.counts == [1, 1]
-        hist = a.to_histogram()
-        assert isinstance(hist, Histogram)
-        assert hist.counts == (1, 1)
-        with pytest.raises(StatsError):
-            a.merge(StreamingHistogram("lat", edges=[0.0, 2.0, 4.0]))
-
-    def test_histogram_edge_validation(self):
-        with pytest.raises(StatsError):
-            StreamingHistogram("x", edges=[1.0])
-        with pytest.raises(StatsError):
-            StreamingHistogram("x", edges=[1.0, 1.0])
-
-    def test_registry_roundtrip_and_merge(self):
-        a = MetricsRegistry()
-        a.counter("units").inc(3)
-        a.gauge("rate").set(7.5)
-        a.histogram("lat", edges=[0.0, 1.0]).push(0.5)
-        b = MetricsRegistry()
-        b.counter("units").inc(2)
-        b.histogram("lat", edges=[0.0, 1.0]).push(0.25)
-        a.merge(b)
-        snapshot = a.snapshot()
-        assert snapshot["units"] == 5.0
-        assert snapshot["rate"] == 7.5
-        assert snapshot["lat"]["counts"] == [2]
-        assert "units" in a and len(a) == 3
-
-    def test_registry_kind_conflict(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(StatsError):
-            registry.gauge("x")
-        with pytest.raises(StatsError):
-            registry.histogram("missing")  # needs edges on first use
 
 
 # --------------------------------------------------------------------------- #

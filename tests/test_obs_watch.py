@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.obs.watch import render_watch_frame, watch
 from repro.session import Session
 from repro.session.policy import ExecutionPolicy
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 GENERATIONS = ["Xeon X5670", "Xeon Platinum 8480+", "EPYC 9654"]
 FAST_BASE = {"load_levels": [1.0, 0.5, 0.0]}
 
@@ -78,11 +81,24 @@ class TestStoreEvents:
         assert "shards: 2/3 complete" in status.describe()
 
     def test_resident_store_reports_no_shard_progress(self, tmp_path):
+        # A store an older resident run wrote lists every unit and records
+        # no shard layout: its status keeps the unit-level shape.
         store_dir = tmp_path / "store"
-        run_campaign(watch_spec(), store_dir)
+        shutil.copytree(GOLDEN / "resident", store_dir)
         status = CampaignStore(store_dir).status()
         assert status.shards is None
         assert "shards:" not in status.describe()
+
+    def test_resident_run_reports_its_shard_layout(self, tmp_path):
+        # A resident run flushes shards of chunk_size x workers units.
+        store_dir = tmp_path / "store"
+        run_campaign(watch_spec(), store_dir, max_units=5)
+        status = CampaignStore(store_dir).status()
+        assert status.shards == CampaignStore(store_dir).shard_progress()
+        assert status.completed == 5 and status.total == 12
+        assert "shards: 0/1 complete, 1 partial, 0 pending (5 rows flushed, shard_size=32)" in (
+            status.describe()
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -4,8 +4,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.frame import Frame
-from repro.io import FrameCache, Workspace, cached_frame, ensure_dir
+from repro.io import Workspace, ensure_dir
 from repro.parallel import (
     ParallelConfig,
     chunk_indices,
@@ -104,40 +103,3 @@ class TestWorkspace:
         target = tmp_path / "a" / "b"
         assert ensure_dir(target) == ensure_dir(target)
         assert target.is_dir()
-
-
-class TestFrameCache:
-    def test_put_and_get(self, tmp_path):
-        cache = FrameCache(tmp_path)
-        frame = Frame.from_dict({"x": [1, 2, 3]})
-        cache.put("runs", {"seed": 1}, frame)
-        loaded = cache.get("runs", {"seed": 1})
-        assert loaded is not None
-        assert loaded["x"].to_list() == [1, 2, 3]
-
-    def test_get_miss_on_different_key(self, tmp_path):
-        cache = FrameCache(tmp_path)
-        cache.put("runs", {"seed": 1}, Frame.from_dict({"x": [1]}))
-        assert cache.get("runs", {"seed": 2}) is None
-
-    def test_clear(self, tmp_path):
-        cache = FrameCache(tmp_path)
-        cache.put("runs", {"seed": 1}, Frame.from_dict({"x": [1]}))
-        assert cache.clear() >= 2
-        assert cache.get("runs", {"seed": 1}) is None
-
-    def test_cached_frame_builder_called_once(self, tmp_path):
-        cache = FrameCache(tmp_path)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return Frame.from_dict({"x": [1]})
-
-        cached_frame(cache, "runs", {"k": 1}, build)
-        cached_frame(cache, "runs", {"k": 1}, build)
-        assert len(calls) == 1
-
-    def test_cached_frame_without_cache(self):
-        frame = cached_frame(None, "runs", {}, lambda: Frame.from_dict({"x": [1]}))
-        assert len(frame) == 1

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.api as api
 from repro.errors import ArtifactError, SessionError
 from repro.parallel import ParallelConfig
 from repro.session import (
@@ -265,8 +264,8 @@ class TestSessionCaching:
         # the full render -> parse text path to pin bit-identity end to end.
         with Session(workspace=workspace) as session:
             corpus_dir = session.corpus(runs=RUNS, seed=SEED).result().directory
-        with pytest.deprecated_call():
-            fresh = api.load_dataset(corpus_dir)
+        with Session() as session:  # no workspace: the text is parsed
+            fresh = session.dataset(corpus=corpus_dir).result()
         assert fresh.equals(warm_frame)
         assert fresh.columns == warm_frame.columns
 
@@ -479,40 +478,10 @@ class TestRegistries:
             assert sweep.total_units == 1 and not sweep.failures
 
 
-# --------------------------------------------------------------------------- #
-# Deprecated api shims
-# --------------------------------------------------------------------------- #
-class TestApiShims:
-    def test_every_shim_warns(self, tmp_path):
-        with pytest.deprecated_call():
-            frame = api.quick_dataset(n_runs=RUNS, seed=SEED, directory=tmp_path / "c")
-        with pytest.deprecated_call():
-            report = api.parse_corpus(tmp_path / "c")
-        assert report.parsed_count == len(frame)
-        with pytest.deprecated_call():
-            api.analyze(frame, include_table1=False)
+def test_analysis_result_comparison_is_paper_comparison(analysis_result):
+    from repro.core.report import PaperComparison
 
-    def test_quick_dataset_accepts_parallel(self, tmp_path):
-        with pytest.deprecated_call():
-            frame = api.quick_dataset(
-                n_runs=RUNS,
-                seed=SEED,
-                directory=tmp_path / "p",
-                parallel=ParallelConfig(backend="serial"),
-            )
-        assert len(frame) == RUNS
-
-    def test_analysis_result_comparison_is_paper_comparison(self, analysis_result):
-        from repro.core.report import PaperComparison
-
-        assert isinstance(analysis_result.comparison, PaperComparison)
-
-    def test_run_campaign_shim_matches_session(self, tmp_path, workspace):
-        with pytest.deprecated_call():
-            shim = api.run_campaign(SPEC, tmp_path / "store")
-        with Session(workspace=workspace) as session:
-            cached = session.campaign(SPEC).result()
-        assert shim.frame.equals(cached.frame)
+    assert isinstance(analysis_result.comparison, PaperComparison)
 
 
 # --------------------------------------------------------------------------- #
