@@ -16,9 +16,11 @@ correct results, end to end and across real process boundaries:
 8. render ``campaign watch --once`` over the crashed-and-recovered store,
 9. run the deterministic fault-injection matrix: transient unit raises,
    torn shard flushes, torn ledger and unit-cache index appends, a poison
-   unit driven into quarantine, and an env-armed (``REPRO_FAULTS``) worker
-   killed at a flush — each must recover bit-identical to the reference
-   and leave a store that ``campaign doctor`` signs off on,
+   unit driven into quarantine (serially and again on a two-worker pool,
+   which must attempt and quarantine it exactly as the serial run did),
+   and an env-armed (``REPRO_FAULTS``) worker killed at a flush — each
+   must recover bit-identical to the reference and leave a store that
+   ``campaign doctor`` signs off on,
 10. round-trip a tiny job through a live :class:`CampaignService` socket.
 
 The kill lands wherever it lands — every assertion below holds whether
@@ -160,33 +162,51 @@ def run_fault_matrix(root: Path, reference) -> None:
     # of the campaign must still finish (degraded) — and lifting the
     # quarantine must heal the store to bit-identical completeness.
     poison_key = SPEC.expand()[7].key
+    poison = {
+        "seed": 99,
+        "rules": [
+            {
+                "site": "unit.execute",
+                "kind": "raise",
+                "probability": 1.0,
+                "where": poison_key,
+            }
+        ],
+    }
+
+    def poison_run(store_dir: Path, workers: int | None):
+        """Stream the poisoned campaign; returns its quarantine and failed attempts."""
+        plan = FaultPlan.from_dict(poison)
+        degraded = stream_campaign(
+            SPEC,
+            store_dir,
+            shard_size=SHARD_SIZE,
+            policy=ExecutionPolicy(faults=plan, retry=FAST_RETRY),
+            retry=FAST_RETRY,
+            workers=workers,
+        )
+        assert degraded.status == "degraded", degraded.status
+        assert len(degraded.quarantined) == 1
+        assert "injected fault" in degraded.quarantined[0][1]
+        store = CampaignStore(store_dir)
+        assert store.quarantine_keys() == {poison_key}
+        assert_doctor_signs_off(store_dir)
+        quarantine = [(e["unit_id"], e["attempts"]) for e in store.quarantine_entries()]
+        failed = sum(
+            1
+            for entry in store.ledger_entries()
+            if entry["key"] == poison_key and entry["status"] == "failed"
+        )
+        return quarantine, failed
+
     store_dir = root / "faults" / "poison-unit"
-    plan = FaultPlan.from_dict(
-        {
-            "seed": 99,
-            "rules": [
-                {
-                    "site": "unit.execute",
-                    "kind": "raise",
-                    "probability": 1.0,
-                    "where": poison_key,
-                }
-            ],
-        }
+    serial_poison = poison_run(store_dir, None)
+    pooled_poison = poison_run(root / "faults" / "poison-unit-pooled", 2)
+    assert pooled_poison == serial_poison, (
+        f"poison-unit: a 2-worker pool quarantined/attempted {pooled_poison}, "
+        f"the serial run {serial_poison}"
     )
-    degraded = stream_campaign(
-        SPEC,
-        store_dir,
-        shard_size=SHARD_SIZE,
-        policy=ExecutionPolicy(faults=plan, retry=FAST_RETRY),
-        retry=FAST_RETRY,
-    )
-    assert degraded.status == "degraded", degraded.status
-    assert len(degraded.quarantined) == 1
-    assert "injected fault" in degraded.quarantined[0][1]
     store = CampaignStore(store_dir)
-    assert store.quarantine_keys() == {poison_key}
-    assert_doctor_signs_off(store_dir)
     # Operator lifts the quarantine; keep the ledger aside for CI forensics.
     store.quarantine_path.rename(store.quarantine_path.with_suffix(".jsonl.lifted"))
     healed = resume_streaming(store_dir, retry=FAST_RETRY)
@@ -196,7 +216,8 @@ def run_fault_matrix(root: Path, reference) -> None:
     )
     print(
         "   poison-unit: quarantined after "
-        f"{FAST_RETRY.max_attempts} attempts, healed after lift"
+        f"{FAST_RETRY.max_attempts} attempts (serial and 2-worker pool alike), "
+        "healed after lift"
     )
 
     # Env-armed kill: REPRO_FAULTS crosses the process boundary and SIGKILLs

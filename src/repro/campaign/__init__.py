@@ -14,7 +14,7 @@ Layers
 * :mod:`repro.campaign.spec` — declarative sweep spec with grid/zip expansion,
 * :mod:`repro.campaign.cache` — content-hash keys and the unit cache, an
   index over the shard artifacts that store every row,
-* :mod:`repro.campaign.runner` — batched parallel unit simulation with
+* :mod:`repro.campaign.runner` — batched in-process unit simulation with
   per-unit error capture, and the resident runner that returns the whole
   campaign frame,
 * :mod:`repro.campaign.aggregate` — columnar frame assembly,
@@ -62,6 +62,7 @@ from .sharding import (
     Shard,
     ShardOutcome,
     StreamingCampaignResult,
+    WorkerPool,
     iter_shards,
     resume_streaming,
     run_worker,
@@ -93,6 +94,7 @@ __all__ = [
     "stream_campaign",
     "resume_streaming",
     "run_worker",
+    "WorkerPool",
     "DEFAULT_LEASE_TTL",
     "Lease",
     "LeaseHeartbeat",

@@ -30,9 +30,11 @@ Repairs never invent data: damaged shard records are superseded with a
 shard: a shard artifact is the only copy of its rows), damaged artifacts
 and corrupt orphans are deleted, corrupt log lines are dropped by an
 atomic rewrite, and stale leases get a released (born-expired) successor.
-*Adoptable* orphans — artifacts that parse cleanly and that
-:func:`~repro.campaign.sharding._recover_shard` would adopt on the next
-resume — are reported as notes and deliberately left alone.  A store
+Intact orphans are reported as notes and deliberately left alone: an
+*adoptable* one is the artifact of a shard of the stored layout, which
+:func:`~repro.campaign.sharding._recover_shard` adopts on the next resume;
+any other (say, of a layout the store was run at before) no resume
+adopts, but unit-cache index lines may still point into it.  A store
 written by an older resident run has no shard layout: its artifacts are
 flush batches the unit-cache index (``results/index.jsonl``) points at,
 so only corrupt ones are reported.
@@ -198,14 +200,19 @@ def _scan_shard_artifacts(report: DoctorReport, store: CampaignStore) -> set[str
     return referenced
 
 
+#: Note on an intact orphan of another shard layout, which no resume adopts.
+_FOREIGN_ORPHAN = "kept, as unit-cache index lines may point into it; no resume adopts it"
+
+
 def _scan_orphans(
     report: DoctorReport, store: CampaignStore, referenced: set[str]
 ) -> None:
-    """Classify unreferenced artifacts: adoptable debris vs torn garbage."""
-    from .sharding import _load_shard_frame
+    """Classify unreferenced artifacts: adoptable, kept, or torn garbage."""
+    from .sharding import _load_shard_frame, iter_shards
 
     shard_store = store.shard_store
-    streaming = store.stored_shard_size() is not None
+    shard_size = store.stored_shard_size()
+    adoptable: set[str] | None = None  # artifact keys of the stored layout
     for key in sorted(shard_store.keys()):
         if key in referenced:
             continue
@@ -214,13 +221,17 @@ def _scan_orphans(
         except Exception:
             frame = None
         if frame is not None:
-            # A killed worker flushed this but never recorded it; the next
-            # resume's recovery probe adopts it for free.  Leave it alone.
-            # (An older resident store's intact flush batches are not debris.)
-            if streaming:
+            # Leave it alone: either a killed worker flushed it but never
+            # recorded it, and the next resume's recovery probe adopts it for
+            # free, or the unit cache may still serve rows from it.  (An older
+            # resident store's intact flush batches are not debris.)
+            if shard_size is not None:
+                if adoptable is None:
+                    shards = iter_shards(store.load_spec(), shard_size=shard_size)
+                    adoptable = {shard.artifact_key() for shard in shards}
+                fate = "a resume can adopt it" if key in adoptable else _FOREIGN_ORPHAN
                 report.notes.append(
-                    f"orphan artifact {key[:12]} is intact ({len(frame)} rows); "
-                    "a resume can adopt it"
+                    f"orphan artifact {key[:12]} is intact ({len(frame)} rows); {fate}"
                 )
             continue
         issue = DoctorIssue(

@@ -6,10 +6,10 @@ path that writes campaign rows.  :func:`run_campaign` and
 :func:`resume_campaign` drive that step shard by shard and return the whole
 campaign frame in memory (:class:`CampaignResult`).
 
-The workers are module-level functions of one picklable payload tuple, so
-the process back-end of :mod:`repro.parallel` can ship them to a pool.  A
-worker simulates its units and derives their rows as one column block
-(:func:`repro.reportgen.records.derive_block`) straight from the kernel's
+Units are simulated in the calling process; a campaign fans out only
+across shards (:class:`~repro.campaign.sharding.WorkerPool`).  Each
+options group of a batch is simulated and its rows derived as one column
+block (:func:`repro.reportgen.records.derive_block`) straight from the kernel's
 ``(runs x levels)`` matrices, checked by the production validator's column
 predicates (:func:`repro.parser.validation.primary_issues`).  No per-unit
 result, record or row object is built: each outcome's row is a read-only
@@ -21,31 +21,32 @@ and parsing it back would give, so campaign rows are bit-for-bit the schema
 the tests hold the column path to, and no campaign runs them: the per-unit
 object route (:func:`_roundtrip_result`: ``derive_record`` +
 ``validate_run``) and the text route (:func:`_text_roundtrip_result`:
-render, parse back, validate).  Worker failures are captured per unit and
+render, parse back, validate).  Unit failures are captured per unit and
 recorded in the store ledger; one bad scenario never aborts the campaign.
 
-Execution strategy: by default each worker simulates its units through the
-vectorized :class:`~repro.simulator.batch.BatchDirector`, grouped by shared
-:class:`SimulationOptions` (results are bit-for-bit what the scalar path
-would produce, so cache keys and cached rows are strategy independent); on
-the serial back-end one kernel call covers a whole options group.
-``batch=False`` forces the scalar per-unit director, and a chunk whose
-batch simulation fails falls back to it so errors stay attributed to
-individual units.  Scalar results enter the same block derivation.
+Execution strategy: by default units run through the vectorized
+:class:`~repro.simulator.batch.BatchDirector`, one kernel call per group of
+shared :class:`SimulationOptions` (results are bit-for-bit what the scalar
+path would produce, so cache keys and cached rows are strategy
+independent).  ``batch=False`` forces the scalar per-unit director, and a
+group whose batch simulation fails falls back to it so errors stay
+attributed to individual units.  Scalar results enter the same block
+derivation.  A resident run's :class:`~repro.parallel.ParallelConfig` only
+sets a new store's shard layout (``chunk_size x workers`` units).
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..errors import ReproError
 from ..faults.plan import fault_point
 from ..frame import Frame, concat
 from ..market.catalog import Catalog, default_catalog
-from ..parallel import ParallelConfig, parallel_map
+from ..parallel import ParallelConfig
 from ..parser.fields import RecordBlock, RunRecord
 from ..parser.resultfile import parse_result_text
 from ..parser.validation import primary_issues, validate_run
@@ -56,7 +57,7 @@ from ..simulator.batch import BatchDirector
 from ..simulator.director import RunDirector
 from ..simulator.result import RunMatrices, RunResult
 from .aggregate import annotate_row
-from .sharding import ShardStep, campaign_config, iter_shards
+from .sharding import ShardStep, iter_shards
 from .spec import CampaignSpec, CampaignUnit
 from .store import CampaignStore
 
@@ -95,7 +96,7 @@ class CampaignResult:
 
 
 # --------------------------------------------------------------------------- #
-# Worker (module-level: the process back-end pickles it by reference)
+# Unit simulation
 # --------------------------------------------------------------------------- #
 #: ``(key, row, error)`` of one unit.
 Outcome = tuple[str, Optional[Mapping[str, Any]], Optional[str]]
@@ -182,23 +183,19 @@ def _block_outcomes(units: Sequence[tuple[str, _Source]]) -> list[Outcome]:
     return outcomes
 
 
-def _simulate_units(payload: tuple) -> list[Outcome]:
+def _simulate_units(units: Sequence[CampaignUnit], catalog: Catalog | None) -> list[Outcome]:
     """Simulate units one by one through the scalar director.
 
-    The payload is ``(units, catalog)`` with ``units`` a tuple of ``(key,
-    plan, options, seed)``; outcomes keep that order.  ``catalog`` travels
-    inside the payload only for non-default catalogs; ``None`` keeps
-    payloads small for the common case.  The results of each load ladder
-    are derived as one block.
+    Outcomes keep unit order.  The results of each load ladder are derived
+    as one block.
     """
-    units, catalog = payload
     results: list[RunResult | str] = []
-    for _, plan, options, seed in units:
+    for unit in units:
         try:
             director = RunDirector(
-                catalog=catalog or default_catalog(), options=options, corpus_seed=seed
+                catalog=catalog or default_catalog(), options=unit.options, corpus_seed=unit.seed
             )
-            results.append(director.run(plan))
+            results.append(director.run(unit.plan))
         except Exception as exc:
             results.append(_error_text(exc))
     ladders: dict[tuple[float, ...], list[int]] = {}
@@ -211,97 +208,56 @@ def _simulate_units(payload: tuple) -> list[Outcome]:
         block = records.derive_block(RunMatrices.from_results([results[at] for at in positions]))
         for index, position in enumerate(positions):
             sources[position] = (block, index)
-    return _block_outcomes([(unit[0], source) for unit, source in zip(units, sources)])
+    return _block_outcomes([(unit.key, source) for unit, source in zip(units, sources)])
 
 
-def _simulate_chunk(payload: tuple) -> list[Outcome]:
-    """Simulate one same-options chunk of units through the batch kernel.
+def _simulate_group(units: Sequence[CampaignUnit], catalog: Catalog | None) -> list[Outcome]:
+    """Simulate one same-options group of units through the batch kernel.
 
-    The payload is ``(units, options, catalog)`` with ``units`` a tuple of
-    ``(key, plan, seed)``.  If the vectorized simulation of the chunk fails
-    for any reason the chunk is re-run unit by unit through the scalar
-    worker, so a single bad scenario is reported against its own key instead
-    of poisoning its neighbours.
+    If the vectorized simulation of the group fails for any reason the group
+    is re-run unit by unit through the scalar director, so a single bad
+    scenario is reported against its own key instead of poisoning its
+    neighbours.
     """
-    units, options, catalog = payload
     try:
-        director = BatchDirector(catalog=catalog or default_catalog(), options=options)
+        director = BatchDirector(catalog=catalog or default_catalog(), options=units[0].options)
         windows = director.run_windows(
-            [plan for _, plan, _ in units], seeds=[seed for _, _, seed in units]
+            [unit.plan for unit in units], seeds=[unit.seed for unit in units]
         )
         for window in windows:
             window.check_levels()
     except Exception:
-        return _simulate_units(
-            (tuple((key, plan, options, seed) for key, plan, seed in units), catalog)
-        )
+        return _simulate_units(units, catalog)
     sources: list[_Source] = []
     for window in windows:
         block = records.derive_block(window)
         sources.extend((block, index) for index in range(len(window)))
-    return _block_outcomes([(key, source) for (key, _, _), source in zip(units, sources)])
-
-
-def _chunk_payloads(
-    units: list[CampaignUnit], chunk_size: int | None, catalog: Catalog | None
-) -> list[tuple]:
-    """Group units by shared options, then split into worker-sized chunks.
-
-    ``chunk_size=None`` keeps each options group whole.
-    """
-    groups: dict = {}
-    for unit in units:
-        groups.setdefault(unit.options, []).append(unit)
-    payloads = []
-    for options, group in groups.items():
-        step = chunk_size or len(group)
-        for start in range(0, len(group), step):
-            chunk = group[start : start + step]
-            payloads.append(
-                (tuple((u.key, u.plan, u.seed) for u in chunk), options, catalog)
-            )
-    return payloads
+    return _block_outcomes([(unit.key, source) for unit, source in zip(units, sources)])
 
 
 def dispatch_simulations(
     units: list[CampaignUnit],
-    config: ParallelConfig,
     batch: bool,
     catalog: Catalog | None,
 ) -> list[Outcome]:
-    """Run one batch of units through the selected kernel.
+    """Simulate one batch of units in this process through the selected kernel.
 
     Returns ``(key, row, error)`` per unit: batch outcomes in options-group
-    order, scalar ones in unit order.  A row is a read-only mapping, a
-    :class:`~repro.parser.fields.BlockRow` into its chunk's column block.
-    The single dispatch point of every shard flush, resident, streamed or
-    scheduled alike.
+    order (one kernel call per group), scalar ones in unit order.  A row is
+    a read-only mapping, a :class:`~repro.parser.fields.BlockRow` into its
+    group's column block.  The single dispatch point of every shard flush,
+    resident, streamed or pooled alike.
     """
     from ..obs.trace import get_tracer
 
-    with get_tracer().span(
-        "campaign.dispatch", units=len(units), batch=batch, backend=config.backend
-    ):
-        # One payload per worker chunk (the outer map must not re-chunk it);
-        # a serial run vectorizes each options group in one kernel call.
-        chunk_size = None if config.backend == "serial" else config.chunk_size
-        if batch:
-            worker = _simulate_chunk
-            payloads = _chunk_payloads(units, chunk_size, catalog)
-        else:
-            worker = _simulate_units
-            step = chunk_size or len(units) or 1
-            payloads = [
-                (
-                    tuple((u.key, u.plan, u.options, u.seed) for u in units[start : start + step]),
-                    catalog,
-                )
-                for start in range(0, len(units), step)
-            ]
+    with get_tracer().span("campaign.dispatch", units=len(units), batch=batch):
+        if not batch:
+            return _simulate_units(units, catalog)
+        groups: dict[Any, list[CampaignUnit]] = {}
+        for unit in units:
+            groups.setdefault(unit.options, []).append(unit)
         return [
-            outcome
-            for chunk in parallel_map(worker, payloads, config=replace(config, chunk_size=1))
-            for outcome in chunk
+            outcome for group in groups.values() for outcome in _simulate_group(group, catalog)
         ]
 
 
@@ -309,7 +265,8 @@ def _annotation_order(frame: Frame, unit: CampaignUnit) -> Frame:
     """``frame`` with its ``campaign_*`` columns in the order ``unit`` gives them.
 
     A reloaded shard keeps the column order of the spec it was flushed
-    with: ``base`` order in memory, sorted in the ``spec.json`` snapshot.
+    with: ``base`` order, or sorted in an older store whose ``spec.json``
+    snapshot was written with sorted keys.
     """
     wanted = [name for name in annotate_row({}, unit) if name in frame]
     slots = set(wanted)
@@ -338,10 +295,12 @@ def _run_resident(
     if policy is not None:
         parallel = policy.parallel_config()
         batch = policy.use_batch_kernel
-    config = campaign_config(parallel)
-    shard_size = store.stored_shard_size() or config.chunk_size * config.effective_workers
+    shard_size = store.stored_shard_size()
+    if shard_size is None:
+        layout = parallel or ParallelConfig(backend="serial")
+        shard_size = layout.chunk_size * layout.effective_workers
     store.initialize_streaming(spec, shard_size)
-    step = ShardStep(store, config, batch, catalog, budget=max_units)
+    step = ShardStep(store, batch, catalog, budget=max_units)
     frames: list[Frame] = []
     failures: list[tuple[str, str]] = []
     cache_hits = simulated = 0

@@ -11,20 +11,24 @@ Three loops drive that step:
   :func:`iter_shards` (the full unit list never exists in memory) and folds
   each shard's frame into :class:`~repro.campaign.reduce` reducers before the
   next shard starts, so sweep size is O(shard) in memory,
-* :func:`execute_shard` runs one shard for a campaign-service pool worker,
+* :func:`execute_shard` runs one shard for a worker process,
 * the resident :func:`~repro.campaign.runner.run_campaign` concatenates the
   shard frames into one in-memory campaign frame,
 
 and the :class:`CampaignStore` shard manifest records each flush, so a killed
 campaign resumes at shard granularity: complete shards reload their
 artifact (zero per-unit cache probing), only incomplete shards re-execute.
-:func:`run_worker` + ``stream_campaign(workers=N)`` fan shards out across a
-pool of worker processes that coordinate purely through lease records in
-the shard ledger (:mod:`repro.campaign.leases`): each worker claims pending
-shards, flushes them through the same ``_flush_shard`` path, and the
-coordinator's pass doubles as the *reclaimer* — it reloads completed shard
-artifacts in shard order and re-executes whatever a crashed worker left
-unfinished, so a SIGKILL'd worker costs at most one shard of repeated work.
+
+A shard's units are simulated in the process that runs its step.
+:class:`WorkerPool` is the one process pool for campaign work: its workers
+run shards through :func:`run_shard` (a lease claim in the shard ledger,
+:mod:`repro.campaign.leases`, around :func:`execute_shard`).
+``stream_campaign(workers=N)`` starts one for a run, and its serial pass
+doubles as the *reclaimer*: it reloads completed shard artifacts in shard
+order and re-executes whatever a crashed worker left unfinished, so a
+SIGKILL'd worker costs at most one shard of repeated work.  The service
+scheduler keeps one pool for its life; :func:`run_worker` runs
+:func:`run_shard` as a standalone ``spectrends campaign worker``.
 
 Equivalence contract
 --------------------
@@ -46,6 +50,7 @@ to reducing the concatenated frame in one pass.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -54,6 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
+from queue import Empty
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -65,11 +71,11 @@ from ..frame import Frame, concat
 from ..frame.mmapio import NpzMap
 from ..market.catalog import Catalog
 from ..obs.trace import get_tracer
-from ..parallel import ParallelConfig
 from ..session.artifacts import ArtifactStore, digest_json
 from ..session.columnar import frame_from_arrays, frame_to_arrays, numeric_slots
 from ..session.policy import ExecutionPolicy
 from .aggregate import annotate_row, assemble_frame
+from .cache import ResultCache
 from .leases import DEFAULT_LEASE_TTL, LeaseHeartbeat, LeaseLedger
 from .reduce import FrameReducer, Quantiles, column_quantiles, quantile_label, valid_values
 from .spec import CampaignSpec, CampaignUnit
@@ -87,9 +93,13 @@ __all__ = [
     "scan_shards",
     "stream_campaign",
     "resume_streaming",
-    "run_worker",
     "execute_shard",
     "ShardStep",
+    "ShardTask",
+    "ShardTaskResult",
+    "WorkerPool",
+    "run_shard",
+    "run_worker",
     # Row annotation, still looked up here by the per-layer trace
     # (perfbench/tracing.py); shard frames are built by assemble_frame.
     "annotate_row",
@@ -473,7 +483,6 @@ def _execute_pending(
     pending: list[CampaignUnit],
     shard: Shard,
     store: CampaignStore,
-    config: ParallelConfig,
     batch: bool,
     catalog: Catalog | None,
     retry: RetryPolicy | None,
@@ -501,7 +510,7 @@ def _execute_pending(
     round_no = 0
     retry_budget = retry.shard_retry_budget if retry is not None else 0
     while to_run:
-        outcomes = dispatch_simulations(to_run, config, batch, catalog)
+        outcomes = dispatch_simulations(to_run, batch, catalog)
         failed_units: list[CampaignUnit] = []
         for key, row, error in outcomes:
             unit = by_key[key]
@@ -544,7 +553,6 @@ def _execute_pending(
 def _flush_shard(
     shard: Shard,
     store: CampaignStore,
-    config: ParallelConfig,
     batch: bool,
     catalog: Catalog | None,
     budget: int | None,
@@ -580,13 +588,17 @@ def _flush_shard(
 
         if budget is not None:
             pending = pending[:budget]
+        # A capped pass that spent its budget before this shard has nothing
+        # to store: it writes no artifact and no record, so the shard stays
+        # pending rather than turning partial.
+        stored = bool(pending or rows_by_key or n_quarantined)
 
         failures: list[tuple[str, str]] = []
         kernel_s = 0.0
         if pending:
             kernel_start = time.perf_counter()
             failures, newly_quarantined = _execute_pending(
-                pending, shard, store, config, batch, catalog, retry, rows_by_key
+                pending, shard, store, batch, catalog, retry, rows_by_key
             )
             kernel_s = time.perf_counter() - kernel_start
             n_quarantined += newly_quarantined
@@ -601,20 +613,23 @@ def _flush_shard(
         assembly_s = time.perf_counter() - assembly_start
 
         artifact_key = shard.artifact_key()
-        meta, arrays = frame_to_arrays(frame)
-        fault_rule = fault_point("shard.flush", ctx=f"shard{shard.index}")
-        shard_store = store.shard_store
-        shard_store.put(artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays)
-        # Checksum of the *intended* bytes, taken before any injected
-        # truncation below — so a torn flush records a checksum its artifact
-        # cannot match, which is exactly how the reload path and the unit
-        # cache catch it.
-        checksum = shard_store.sidecar_digest(artifact_key)
-        if keys:
-            cache.put(shard_store, artifact_key, checksum, keys)
-        if fault_rule is not None and fault_rule.kind == "partial_write":
-            _tear_sidecar(shard_store, artifact_key, fault_rule.fraction)
-        flush_bytes = int(sum(array.nbytes for array in arrays.values()))
+        checksum = None
+        flush_bytes = 0
+        if stored:
+            meta, arrays = frame_to_arrays(frame)
+            fault_rule = fault_point("shard.flush", ctx=f"shard{shard.index}")
+            shard_store = store.shard_store
+            shard_store.put(artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays)
+            # Checksum of the *intended* bytes, taken before any injected
+            # truncation below — so a torn flush records a checksum its
+            # artifact cannot match, which is exactly how the reload path and
+            # the unit cache catch it.
+            checksum = shard_store.sidecar_digest(artifact_key)
+            if keys:
+                cache.put(shard_store, artifact_key, checksum, keys)
+            if fault_rule is not None and fault_rule.kind == "partial_write":
+                _tear_sidecar(shard_store, artifact_key, fault_rule.fraction)
+            flush_bytes = int(sum(array.nbytes for array in arrays.values()))
         span.set("cache_hits", cache_hits)
         span.set("simulated", len(pending) - len(failures))
         span.set("kernel_s", kernel_s)
@@ -636,6 +651,8 @@ def _flush_shard(
             quarantined=n_quarantined,
             checksum=checksum,
         )
+    if not stored:
+        return outcome, frame
     entry: dict[str, Any] = {
         "index": shard.index,
         "start": shard.start,
@@ -776,7 +793,6 @@ class ShardStep:
     """
 
     store: CampaignStore
-    config: ParallelConfig
     batch: bool
     catalog: Catalog | None
     budget: int | None = None
@@ -796,7 +812,6 @@ class ShardStep:
         outcome, frame = _flush_shard(
             shard,
             self.store,
-            self.config,
             self.batch,
             self.catalog,
             self.budget,
@@ -817,23 +832,8 @@ def _shard_recorded_complete(shard: Shard, entry: dict[str, Any] | None) -> bool
     )
 
 
-def campaign_config(parallel: ParallelConfig | None) -> ParallelConfig:
-    """The executor configuration a campaign dispatches its units with.
-
-    The executor's serial-fallback threshold is tuned for cheap per-file
-    work; a campaign unit is a whole benchmark simulation, so even a
-    handful of units is worth the pool, and a shard of ``chunk_size x
-    workers`` units would otherwise sit exactly at the default threshold
-    and silently run serially.
-    """
-    config = parallel or ParallelConfig(backend="serial")
-    if config.backend != "serial":
-        config = replace(config, serial_threshold=0)
-    return config
-
-
 # --------------------------------------------------------------------------- #
-# Multi-worker execution
+# Worker processes
 # --------------------------------------------------------------------------- #
 def execute_shard(
     store: CampaignStore,
@@ -844,16 +844,16 @@ def execute_shard(
 ) -> ShardOutcome:
     """Bring one shard to "complete artifact + result record", idempotently.
 
-    The single-shard primitive behind the service scheduler's pool workers:
-    one :class:`ShardStep` over the store's current ledger, serial.  The
-    resulting artifact is content-addressed by the shard's unit keys, so
-    *who* executed it (and interleaved with what) can never change the
-    bytes a later reload sees — which is what keeps scheduler-interleaved
-    jobs bit-identical to their clean serial runs.
+    The single-shard primitive behind every worker process
+    (:func:`run_shard`): one :class:`ShardStep` over the store's current
+    ledger and quarantine set.  The resulting artifact is content-addressed
+    by the shard's unit keys, so *who* executed it (and interleaved with
+    what) can never change the bytes a later reload sees — which is what
+    keeps pooled runs and scheduler-interleaved jobs bit-identical to their
+    clean serial runs.
     """
     step = ShardStep(
         store,
-        ParallelConfig(backend="serial"),
         batch,
         catalog,
         retry=retry,
@@ -864,48 +864,320 @@ def execute_shard(
     return outcome
 
 
+#: How long a coordinator waits for results per round, and how long a shard
+#: a live peer holds waits before it is offered again (or swept again).
+_POLL_S = 0.05
+
+#: How often an idle pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 1.0
+
+
+def run_shard(
+    ledger: LeaseLedger,
+    shard: Shard,
+    batch: bool = True,
+    catalog: Catalog | None = None,
+    retry: RetryPolicy | None = None,
+) -> ShardOutcome | None:
+    """Claim ``shard`` and bring it to a complete artifact + result record.
+
+    Returns ``None`` if a live peer holds the lease and the ledger does not
+    record the shard complete (read only when the claim fails).  A
+    :class:`~repro.campaign.leases.LeaseHeartbeat` renews the lease while
+    :func:`execute_shard` runs, so a slow worker keeps its claim and a hung
+    one loses it at the TTL; any exception releases the lease.
+    """
+    store = ledger.store
+    if ledger.try_claim(shard.index) is None and not _shard_recorded_complete(
+        shard, store.shard_entries().get(shard.index)
+    ):
+        return None
+    try:
+        with LeaseHeartbeat(ledger, shard.index):
+            return execute_shard(store, shard, batch=batch, catalog=catalog, retry=retry)
+    except BaseException:
+        ledger.release(shard.index)
+        raise
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard dispatch, pickled to a pool worker."""
+
+    job_id: str
+    store_dir: str
+    results_dir: str | None
+    shard: Shard
+    batch: bool = True
+    catalog: Catalog | None = None
+    retry: RetryPolicy | None = None
+
+
+@dataclass(frozen=True)
+class ShardTaskResult:
+    """What a pool worker reports back for one dispatched shard."""
+
+    worker: str
+    job_id: str
+    index: int
+    status: str  # "ok" | "held" | "error"
+    error: str | None = None
+    n_rows: int = 0
+    simulated: int = 0
+    cache_hits: int = 0
+    reloaded: bool = False
+    wall_s: float = 0.0
+
+
+def _pool_worker_main(worker_id: str, task_queue: Any, result_queue: Any) -> None:
+    """Loop of one pool worker process: take a shard task, run it, report.
+
+    An exception is reported as ``error`` and the worker stays alive, so
+    one poisoned store cannot shrink the pool.  Each task's store is built
+    afresh; only the unit cache lives across tasks, one per results root,
+    so a root's index is loaded once per worker.
+    """
+    # A fork inherits its parent's SIGTERM handler (the service's spawns a
+    # stop thread in the parent's object graph): restore the default so an
+    # orchestrator's kill actually kills the worker.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+    cache: ResultCache | None = None
+    while True:
+        try:
+            task = task_queue.get(timeout=_PARENT_POLL_S)
+        except Empty:
+            if os.getppid() != parent:
+                # The parent died without stopping the pool (SIGKILL, OOM):
+                # ``daemon=True`` only reaps workers on a clean exit, and no
+                # task or result reader will ever come back.
+                result_queue.cancel_join_thread()
+                return
+            continue
+        except KeyboardInterrupt:
+            # A foreground ^C signals the whole process group; idle workers
+            # exit quietly and the coordinator drains the rest.
+            return
+        if task is None:
+            return
+        start = time.perf_counter()
+        result = ShardTaskResult(worker_id, task.job_id, task.shard.index, "held")
+        try:
+            store = CampaignStore(task.store_dir, results_dir=task.results_dir)
+            cache = store.use_cache(cache)
+            ledger = LeaseLedger(store, worker_id)
+            outcome = run_shard(ledger, task.shard, task.batch, task.catalog, task.retry)
+            if outcome is not None:
+                result = replace(
+                    result,
+                    status="ok",
+                    n_rows=outcome.n_rows,
+                    simulated=outcome.simulated,
+                    cache_hits=outcome.cache_hits,
+                    reloaded=outcome.reloaded,
+                )
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:  # report, stay alive for the next task
+            result = replace(result, status="error", error=f"{type(exc).__name__}: {exc}")
+        result_queue.put(replace(result, wall_s=time.perf_counter() - start))
+
+
+@dataclass
+class _PoolWorker:
+    """Parent-side handle on one worker process and its private task queue."""
+
+    worker_id: str
+    process: Any
+    task_queue: Any
+    current: ShardTask | None = None
+
+
+class WorkerPool:
+    """A fixed-size pool of shard-executing processes a coordinator feeds.
+
+    Each worker has its **own** task queue with at most one task in
+    flight, so the coordinator always knows which shard a worker holds —
+    when a worker dies (crash, OOM, SIGKILL) its in-flight shard is
+    identifiable and requeueable.  A shared result queue carries
+    completions back.  Workers start by the platform's default method; where
+    that is fork (Linux), they inherit the parent's installed fault plan.
+    """
+
+    def __init__(self, size: int):
+        if size < 1:
+            raise CampaignError(f"worker pool size must be >= 1, got {size}")
+        self.size = size
+        self._ctx = multiprocessing.get_context()
+        self.result_queue = self._ctx.Queue()
+        self._workers: dict[str, _PoolWorker] = {}
+        self._spawned = 0
+
+    def start(self) -> list[_PoolWorker]:
+        return [self.spawn() for _ in range(self.size)]
+
+    def spawn(self) -> _PoolWorker:
+        worker_id = f"pool{self._spawned}"
+        self._spawned += 1
+        task_queue = self._ctx.Queue()
+        process = self._ctx.Process(
+            target=_pool_worker_main,
+            args=(worker_id, task_queue, self.result_queue),
+            name=f"campaign-{worker_id}",
+            daemon=True,
+        )
+        process.start()
+        worker = _PoolWorker(worker_id, process, task_queue)
+        self._workers[worker_id] = worker
+        return worker
+
+    def busy(self) -> bool:
+        """Whether any worker has a task in flight."""
+        return any(worker.current is not None for worker in self._workers.values())
+
+    def idle_workers(self) -> list[_PoolWorker]:
+        return [
+            worker
+            for worker in self._workers.values()
+            if worker.current is None and worker.process.is_alive()
+        ]
+
+    def dispatch(self, worker: _PoolWorker, task: ShardTask) -> None:
+        worker.current = task
+        worker.task_queue.put(task)
+
+    def finish(self, worker_id: str) -> ShardTask | None:
+        """Mark a worker idle; returns the task it held (``None`` if reaped)."""
+        worker = self._workers.get(worker_id)
+        if worker is None:
+            return None
+        task, worker.current = worker.current, None
+        return task
+
+    def reap_dead(self) -> list[tuple[str, ShardTask | None]]:
+        """Remove dead workers; returns ``(worker_id, lost_task)`` pairs."""
+        dead = [
+            worker
+            for worker in self._workers.values()
+            if not worker.process.is_alive()
+        ]
+        for worker in dead:
+            del self._workers[worker.worker_id]
+        return [(worker.worker_id, worker.current) for worker in dead]
+
+    def describe(self) -> list[dict[str, Any]]:
+        return [
+            {
+                "worker": worker.worker_id,
+                "pid": worker.process.pid,
+                "alive": worker.process.is_alive(),
+                "busy": worker.current is not None,
+                "job": worker.current.job_id if worker.current else None,
+                "shard": worker.current.shard.index if worker.current else None,
+            }
+            for worker in self._workers.values()
+        ]
+
+    def shutdown(self, timeout: float = 30.0) -> None:
+        """Sentinel every worker, join with a deadline, escalate leftovers."""
+        for worker in self._workers.values():
+            try:
+                worker.task_queue.put(None)
+            except (OSError, ValueError):  # queue already torn down
+                pass
+        deadline = time.monotonic() + timeout
+        for worker in self._workers.values():
+            worker.process.join(timeout=max(deadline - time.monotonic(), 0.1))
+        for worker in self._workers.values():
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=2.0)
+            if worker.process.is_alive():  # pragma: no cover - last resort
+                worker.process.kill()
+                worker.process.join(timeout=2.0)
+        self._workers.clear()
+
+
+def populate_shards(
+    store: CampaignStore,
+    spec: CampaignSpec,
+    shard_size: int,
+    workers: int,
+    batch: bool,
+    catalog: Catalog | None,
+    retry: RetryPolicy | None,
+) -> None:
+    """Run the shards ``store`` does not record complete on a fresh pool.
+
+    Shards are expanded lazily and handed out one per idle worker.  A shard
+    a live peer holds is offered again a poll interval later, until a
+    worker finds it recorded complete or claims it.  Dead workers are not
+    respawned and dispatch stops once none is alive: what they held, like a
+    shard that failed, is left to the caller's serial pass.
+    """
+    recorded = store.shard_entries()
+    todo = (
+        shard
+        for shard in iter_shards(spec, catalog, shard_size=shard_size)
+        if not _shard_recorded_complete(shard, recorded.get(shard.index))
+    )
+    held: list[Shard] = []  # shards a live peer held, to offer again
+    results_dir = str(store.results_dir)
+    pool = WorkerPool(workers)
+    store.record_event("pool_start", workers=workers)
+    started = pool.start()
+    try:
+        while True:
+            pool.reap_dead()
+            for worker in pool.idle_workers():
+                shard = held.pop(0) if held else next(todo, None)
+                if shard is None:
+                    break
+                pool.dispatch(
+                    worker,
+                    ShardTask("", str(store.directory), results_dir, shard, batch, catalog, retry),
+                )
+            if not pool.busy():
+                break  # nothing left to hand out, or no worker alive
+            try:
+                result = pool.result_queue.get(timeout=_POLL_S)
+            except Empty:
+                continue
+            task = pool.finish(result.worker)
+            if result.status == "held" and task is not None:
+                held.append(task.shard)
+                time.sleep(_POLL_S)  # a live peer holds it: offer it again later
+    finally:
+        pool.shutdown()
+        store.record_event(
+            "pool_join",
+            workers=workers,
+            exitcodes=[worker.process.exitcode for worker in started],
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Standalone worker: ``spectrends campaign worker``
+# --------------------------------------------------------------------------- #
 def run_worker(
     store_dir: str | os.PathLike,
     worker_id: str,
-    parallel: ParallelConfig | None = None,
-    catalog: Catalog | None = None,
-    batch: bool | None = None,
-    policy: ExecutionPolicy | None = None,
+    batch: bool = True,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    poll_interval: float = 0.05,
-    max_sweeps: int | None = None,
     retry: RetryPolicy | None = None,
     handle_sigterm: bool = False,
 ) -> int:
     """Claim-and-execute loop of one campaign worker; returns shards flushed.
 
-    The worker repeatedly sweeps the shard layout of an initialised
-    streaming store (``initialize_streaming`` must have run), and for each
-    shard that has no complete result record: first probes for a
-    flushed-but-unrecorded artifact to adopt (:func:`_recover_shard`), then
-    tries to claim the shard through the lease ledger and execute it via
-    the same ``_flush_shard`` path a serial run uses.  Coordination is
-    entirely through ``shards.jsonl`` — workers never talk to each other —
-    so any number of ``spectrends campaign worker`` processes (or the pool
-    ``stream_campaign(workers=N)`` spawns) can share one store.
-
-    Termination: the loop ends once every shard is either complete or was
-    already attempted by *this* worker (a failing shard is attempted at
-    most once per worker; the coordinator's finalize pass owns retries).
-    While pending shards are held by other live workers, the loop polls —
-    if such a holder dies, its lease invalidates (dead pid) and the shard
-    is reclaimed on the next sweep, which is what bounds a SIGKILL'd
-    worker's loss to one shard.  ``max_sweeps`` bounds the polling for
-    tests; ``None`` waits as long as a live foreign claim exists.
-
-    While a claimed shard flushes, a :class:`~repro.campaign.leases
-    .LeaseHeartbeat` renews the lease from a background thread — a slow
-    shard keeps its claim indefinitely, while a *hung* worker (alive pid,
-    no heartbeats) lets its deadline lapse and the shard becomes
-    reclaimable.  ``handle_sigterm=True`` converts SIGTERM into a graceful
-    stop: the in-flight shard finishes and records its result, then the
-    loop exits cleanly with a ``worker_sigterm`` event (the CLI's
-    ``campaign worker`` enables this).
+    Sweeps the shard layout of an initialised streaming store and runs
+    every shard without a complete result record through :func:`run_shard`,
+    appending a ``worker_shard`` event per flush.  Each shard is attempted
+    at most once per worker (a later serial pass owns retries); the loop
+    ends once no live peer holds a pending shard, re-sweeping every poll
+    interval until then — a dead holder's lease invalidates at once, which
+    bounds a SIGKILL'd worker's loss to one shard.  ``handle_sigterm=True``
+    turns SIGTERM into a graceful stop: the in-flight shard finishes and
+    records its result, then the loop exits with a ``worker_sigterm`` event.
     """
     store = CampaignStore(store_dir)
     spec = store.load_spec()
@@ -915,15 +1187,6 @@ def run_worker(
             f"{store.directory} has no shard layout; initialise it with a "
             "streaming run before attaching workers"
         )
-    if policy is not None:
-        parallel = policy.parallel_config() if parallel is None else parallel
-        if batch is None:
-            batch = policy.use_batch_kernel
-        if retry is None:
-            retry = policy.retry
-    if batch is None:
-        batch = True
-    config = campaign_config(parallel)
 
     stopping = threading.Event()
     previous_handler: Any = None
@@ -935,52 +1198,27 @@ def run_worker(
     ledger = LeaseLedger(store, worker_id, ttl=lease_ttl)
     attempted: set[int] = set()
     executed = 0
-    sweeps = 0
     store.record_event("worker_start", worker=worker_id, pid=os.getpid())
-    tracer = get_tracer()
     try:
-        with tracer.span("campaign.worker", worker=worker_id):
+        with get_tracer().span("campaign.worker", worker=worker_id):
             while not stopping.is_set():
-                sweeps += 1
                 recorded = store.shard_entries()
-                quarantined = store.quarantine_keys()
                 waiting = False
-                progressed = False
-                for shard in iter_shards(spec, catalog, shard_size=shard_size):
+                for shard in iter_shards(spec, shard_size=shard_size):
                     if stopping.is_set():
                         break
-                    if _shard_recorded_complete(shard, recorded.get(shard.index)):
+                    if shard.index in attempted or _shard_recorded_complete(
+                        shard, recorded.get(shard.index)
+                    ):
                         continue
-                    if shard.index in attempted:
-                        continue
-                    if _recover_shard(shard, store) is not None:
-                        progressed = True
-                        continue
-                    lease = ledger.try_claim(shard.index)
-                    if lease is None:
+                    outcome = run_shard(ledger, shard, batch, retry=retry)
+                    if outcome is None:
                         waiting = True  # a live peer holds it; revisit next sweep
                         continue
                     attempted.add(shard.index)
-                    try:
-                        # Renew the lease while the flush runs: slow-but-alive
-                        # keeps the claim; hung (no heartbeats) loses it at TTL.
-                        with LeaseHeartbeat(ledger, shard.index):
-                            outcome, frame = _flush_shard(
-                                shard,
-                                store,
-                                config,
-                                batch,
-                                catalog,
-                                None,
-                                retry=retry,
-                                quarantined=quarantined,
-                            )
-                    except BaseException:
-                        ledger.release(shard.index)  # hand it back, then die loudly
-                        raise
-                    del frame
+                    if outcome.reloaded:
+                        continue  # a peer completed it, or its artifact was adopted
                     executed += 1
-                    progressed = True
                     store.record_event(
                         "worker_shard",
                         worker=worker_id,
@@ -991,12 +1229,9 @@ def run_worker(
                         failed=len(outcome.failures),
                         quarantined=outcome.quarantined,
                     )
-                if stopping.is_set() or not waiting:
+                if not waiting:
                     break
-                if not progressed:
-                    if max_sweeps is not None and sweeps >= max_sweeps:
-                        break
-                    time.sleep(poll_interval)
+                time.sleep(_POLL_S)
     finally:
         if handle_sigterm:
             signal.signal(signal.SIGTERM, previous_handler)
@@ -1008,60 +1243,6 @@ def run_worker(
         )
     store.record_event("worker_done", worker=worker_id, shards=executed)
     return executed
-
-
-def _worker_entry(
-    store_dir: str,
-    worker_id: str,
-    batch: bool,
-    lease_ttl: float,
-    catalog: Catalog | None,
-) -> None:
-    """Module-level :class:`multiprocessing.Process` target for the pool."""
-    run_worker(
-        store_dir,
-        worker_id,
-        catalog=catalog,
-        batch=batch,
-        lease_ttl=lease_ttl,
-        handle_sigterm=True,
-    )
-
-
-def _run_worker_pool(
-    store: CampaignStore,
-    n_workers: int,
-    batch: bool,
-    lease_ttl: float,
-    catalog: Catalog | None,
-) -> None:
-    """Fan shards out across ``n_workers`` processes and wait for them.
-
-    Workers that die (crash, OOM-kill, SIGKILL) are *not* respawned — the
-    caller's finalize pass reclaims whatever they left behind, so a partial
-    pool still converges; the exit codes land in the event log for
-    ``campaign watch`` and post-mortems.
-    """
-    import multiprocessing
-
-    store.record_event("pool_start", workers=n_workers)
-    processes = [
-        multiprocessing.Process(
-            target=_worker_entry,
-            args=(str(store.directory), f"w{index}", batch, lease_ttl, catalog),
-            name=f"campaign-worker-{index}",
-        )
-        for index in range(n_workers)
-    ]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join()
-    store.record_event(
-        "pool_join",
-        workers=n_workers,
-        exitcodes=[process.exitcode for process in processes],
-    )
 
 
 @contextmanager
@@ -1080,7 +1261,6 @@ def _policy_faults(policy: ExecutionPolicy | None) -> Iterator[None]:
 def stream_campaign(
     spec: CampaignSpec,
     store_dir: str | os.PathLike,
-    parallel: ParallelConfig | None = None,
     catalog: Catalog | None = None,
     shard_size: int | None = None,
     max_units: int | None = None,
@@ -1089,7 +1269,6 @@ def stream_campaign(
     policy: ExecutionPolicy | None = None,
     progress: Callable[[ShardOutcome, int], None] | None = None,
     workers: int | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
     results_dir: str | os.PathLike | None = None,
     retry: RetryPolicy | None = None,
 ) -> StreamingCampaignResult:
@@ -1110,17 +1289,20 @@ def stream_campaign(
     shards entirely (smoke runs; also how tests emulate a killed campaign).
     ``progress`` is invoked after every shard with its outcome and the
     total shard count (the CLI's streaming status line).  A ``policy``
-    supplies ``parallel``/``batch``/``shard_size``/``workers`` defaults;
-    explicit arguments win.
+    supplies ``batch``/``shard_size``/``retry``/``workers`` defaults;
+    explicit arguments win.  Units are always simulated in-process: a run
+    fans out only through ``workers``.
 
-    ``workers=N`` (N > 1) fans shards out across a pool of N worker
-    processes coordinating through lease records in the shard ledger; the
-    serial pass below then runs as the coordinator/reclaimer — it reloads
-    every worker-completed artifact in shard order and re-executes anything
-    a crashed worker left behind, so the result (frames *and* aggregate) is
-    bit-identical to the serial streamed run for any worker count.  Worker
-    pools execute whole shards concurrently, so they are incompatible with
-    the ``max_units``/``max_shards`` caps.  ``results_dir`` redirects the
+    ``workers=N`` (N > 1) first runs every shard not recorded complete on a
+    :class:`WorkerPool` of N forked processes (which
+    inherit ``policy.faults`` and apply ``retry``); the serial pass below
+    then reloads every worker-completed artifact in shard order and
+    re-executes anything a crashed worker left behind, so the result
+    (frames *and* aggregate) is bit-identical to the serial streamed run
+    for any worker count.  Its counters are the serial pass's: shards a
+    worker completed count as reloaded.  Worker pools execute whole shards
+    concurrently, so they are incompatible with the
+    ``max_units``/``max_shards`` caps.  ``results_dir`` redirects the
     unit-result cache (the campaign service points several job stores at
     one shared cache for cross-client dedup).
 
@@ -1135,7 +1317,6 @@ def stream_campaign(
     testing; the previous plan is restored on exit).
     """
     if policy is not None:
-        parallel = policy.parallel_config() if parallel is None else parallel
         if batch is None:
             batch = policy.use_batch_kernel
         if shard_size is None:
@@ -1168,13 +1349,12 @@ def stream_campaign(
         if n_workers > 1:
             # The pool populates shard artifacts; aggregation happens only in
             # the serial pass below, which keeps bit-identity trivially.
-            _run_worker_pool(store, n_workers, batch, lease_ttl, catalog)
+            populate_shards(store, spec, shard_size, n_workers, batch, catalog, retry)
 
         total_units = spec.n_units
         n_shards = -(-total_units // shard_size)
         step = ShardStep(
             store,
-            campaign_config(parallel),
             batch,
             catalog,
             budget=max_units,
@@ -1209,7 +1389,6 @@ def stream_campaign(
             outcome, _ = _flush_shard(
                 shard,
                 store,
-                step.config,
                 batch,
                 catalog,
                 None,
@@ -1306,7 +1485,6 @@ def stream_campaign(
 
 def resume_streaming(
     store_dir: str | os.PathLike,
-    parallel: ParallelConfig | None = None,
     catalog: Catalog | None = None,
     shard_size: int | None = None,
     max_units: int | None = None,
@@ -1315,7 +1493,6 @@ def resume_streaming(
     policy: ExecutionPolicy | None = None,
     progress: Callable[[ShardOutcome, int], None] | None = None,
     workers: int | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
     retry: RetryPolicy | None = None,
 ) -> StreamingCampaignResult:
     """Continue an interrupted campaign, streamed or resident, from its store.
@@ -1334,7 +1511,6 @@ def resume_streaming(
     return stream_campaign(
         spec,
         store_dir,
-        parallel=parallel,
         catalog=catalog,
         shard_size=shard_size,
         max_units=max_units,
@@ -1343,6 +1519,5 @@ def resume_streaming(
         policy=policy,
         progress=progress,
         workers=workers,
-        lease_ttl=lease_ttl,
         retry=retry,
     )

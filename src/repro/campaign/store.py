@@ -255,7 +255,9 @@ class CampaignStore:
         """Record the spec snapshot, rejecting a conflicting existing one.
 
         A store only ever belongs to one spec; initialising with a different
-        one is an error (use a fresh directory per campaign).
+        one is an error (use a fresh directory per campaign).  The snapshot
+        keeps the spec's own key order: a grid expands in sweep-axis order,
+        so a resume must re-expand the axes in the order they were run.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.spec_path.exists():
@@ -266,10 +268,7 @@ class CampaignStore:
                     f"{stored.name!r} with a different spec"
                 )
         else:
-            self.spec_path.write_text(
-                json.dumps(spec.to_dict(), indent=2, sort_keys=True),
-                encoding="utf-8",
-            )
+            self.spec_path.write_text(json.dumps(spec.to_dict(), indent=2), encoding="utf-8")
 
     def initialize_streaming(self, spec: CampaignSpec, shard_size: int) -> None:
         """Record the spec snapshot and a *light* manifest (no unit list).

@@ -27,9 +27,10 @@ Layout of a service root::
     <root>/service.json       bound address, pid (written on startup)
 """
 
+from ..campaign import WorkerPool
 from .client import EventStream, ServiceClient
 from .protocol import recv_message, send_message
-from .scheduler import PRIORITY_WEIGHTS, FairScheduler, Job, WorkerPool
+from .scheduler import PRIORITY_WEIGHTS, FairScheduler, Job
 from .server import CampaignService, serve_forever
 
 __all__ = [

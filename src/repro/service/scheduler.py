@@ -10,13 +10,18 @@ deficit in proportion to its priority weight on every scheduling round
 and spends it per dispatched unit, so a 16-unit job interleaves with (and
 finishes long before) a streaming mega-sweep.
 
+The pool is the campaign engine's :class:`~repro.campaign.sharding
+.WorkerPool`; the scheduler keeps it for the service's life and respawns
+workers that die.
+
 Bit-identity under interleaving
 -------------------------------
 Pool workers never aggregate.  A dispatched shard runs through
-:func:`~repro.campaign.sharding.execute_shard` — the same probe/flush
-path every other runner uses — whose only side effect is the shard's
-content-addressed artifact plus its ledger record.  When a job's shards
-are all resolved, a **serial finalize pass** (plain
+:func:`~repro.campaign.sharding.run_shard` — a lease claim around
+:func:`~repro.campaign.sharding.execute_shard`, the shard step every other
+runner takes — whose only side effect is the shard's content-addressed
+artifact plus its ledger record.  When a job's shards are all resolved,
+a **serial finalize pass** (plain
 :func:`~repro.campaign.sharding.stream_campaign` over the same store)
 reloads the artifacts in shard order and folds the aggregate exactly as a
 clean serial run would.  Which worker executed a shard, and what it
@@ -30,10 +35,8 @@ fairness gate asserts against and uploads as an artifact.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
-import signal
 import threading
 import time
 from collections import deque
@@ -42,12 +45,14 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Any, Callable, Iterator
 
-from ..campaign import CampaignSpec, CampaignStore, ResultCache, stream_campaign
-from ..campaign.leases import LeaseHeartbeat, LeaseLedger
+from ..campaign import CampaignSpec, CampaignStore, stream_campaign
+from ..campaign.leases import LeaseLedger
 from ..campaign.sharding import (
     Shard,
+    ShardTask,
+    ShardTaskResult,
+    WorkerPool,
     _shard_recorded_complete,
-    execute_shard,
     iter_shards,
 )
 from ..errors import CampaignError
@@ -56,9 +61,6 @@ from ..io.jsonl import append_jsonl
 __all__ = [
     "PRIORITY_WEIGHTS",
     "Job",
-    "ShardTask",
-    "ShardTaskResult",
-    "WorkerPool",
     "FairScheduler",
 ]
 
@@ -148,257 +150,6 @@ class Job:
         self.resubmit_pending = False
         self.submitted_at = time.time()
         self.finished_at = None
-
-
-# --------------------------------------------------------------------------- #
-# Worker pool
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard dispatch, pickled to a pool worker."""
-
-    job_id: str
-    store_dir: str
-    results_dir: str | None
-    shard: Shard
-    batch: bool = True
-
-
-@dataclass(frozen=True)
-class ShardTaskResult:
-    """What a pool worker reports back for one dispatched shard."""
-
-    worker: str
-    job_id: str
-    index: int
-    status: str  # "ok" | "held" | "error"
-    error: str | None = None
-    n_rows: int = 0
-    simulated: int = 0
-    cache_hits: int = 0
-    reloaded: bool = False
-    wall_s: float = 0.0
-
-
-#: How often an idle pool worker checks that the service is still its parent.
-_PARENT_POLL_S = 1.0
-
-
-def _pool_worker_main(
-    worker_id: str, task_queue: Any, result_queue: Any
-) -> None:
-    """Loop of one pool worker process: take a shard task, execute, report.
-
-    Claims each shard through the lease ledger before executing — the
-    claim is what a ``cancel`` releases and what lets external
-    ``campaign worker`` processes sharing a store coordinate with the
-    pool.  A shard someone else validly holds is reported ``held`` (the
-    scheduler requeues it) rather than raced.  Any exception releases the
-    lease and reports ``error``; the worker itself survives to take the
-    next task, so one poisoned store can't shrink the pool.
-
-    Each task's store is built afresh and dropped after the task; only the
-    unit cache lives across tasks, one per results root (every job of a
-    service shares one), so its index is loaded once per worker.
-    """
-    # The fork inherits the server's SIGTERM handler (which spawns a stop
-    # thread *in the parent's object graph*) — restore the default so an
-    # orchestrator's kill actually kills the worker.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent = os.getppid()
-    cache: ResultCache | None = None
-    while True:
-        try:
-            task = task_queue.get(timeout=_PARENT_POLL_S)
-        except Empty:
-            if os.getppid() != parent:
-                # The service died without stopping the pool (SIGKILL, OOM):
-                # ``daemon=True`` only reaps workers on a clean exit, and no
-                # task or result reader will ever come back.
-                result_queue.cancel_join_thread()
-                return
-            continue
-        except KeyboardInterrupt:
-            # A foreground ^C signals the whole process group; idle workers
-            # exit quietly — the scheduler's drain handles the rest.
-            return
-        if task is None:
-            return
-        start = time.perf_counter()
-        try:
-            store = CampaignStore(task.store_dir, results_dir=task.results_dir)
-            cache = store.use_cache(cache)
-            ledger = LeaseLedger(store, worker_id)
-            index = task.shard.index
-            if (
-                ledger.try_claim(index) is None
-                and not _shard_recorded_complete(
-                    task.shard, store.shard_entries().get(index)
-                )
-            ):
-                result_queue.put(
-                    ShardTaskResult(
-                        worker=worker_id,
-                        job_id=task.job_id,
-                        index=index,
-                        status="held",
-                    )
-                )
-                continue
-            try:
-                with LeaseHeartbeat(ledger, index):
-                    outcome = execute_shard(store, task.shard, batch=task.batch)
-            except BaseException:
-                ledger.release(index)
-                raise
-            result_queue.put(
-                ShardTaskResult(
-                    worker=worker_id,
-                    job_id=task.job_id,
-                    index=index,
-                    status="ok",
-                    n_rows=outcome.n_rows,
-                    simulated=outcome.simulated,
-                    cache_hits=outcome.cache_hits,
-                    reloaded=outcome.reloaded,
-                    wall_s=time.perf_counter() - start,
-                )
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:  # report, stay alive for the next task
-            result_queue.put(
-                ShardTaskResult(
-                    worker=worker_id,
-                    job_id=task.job_id,
-                    index=task.shard.index,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    wall_s=time.perf_counter() - start,
-                )
-            )
-
-
-class _PoolWorker:
-    """Parent-side handle on one worker process and its private task queue."""
-
-    __slots__ = ("worker_id", "process", "task_queue", "current")
-
-    def __init__(self, worker_id: str, process: Any, task_queue: Any):
-        self.worker_id = worker_id
-        self.process = process
-        self.task_queue = task_queue
-        self.current: ShardTask | None = None
-
-
-class WorkerPool:
-    """A fixed-size pool of shard-executing processes the scheduler feeds.
-
-    Each worker has its **own** task queue with at most one task in
-    flight, so the scheduler always knows exactly which shard a worker
-    holds — when a worker dies (crash, OOM, SIGKILL) its in-flight shard
-    is identifiable, requeueable, and a replacement worker is spawned.  A
-    shared result queue carries completions back.
-    """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise CampaignError(f"worker pool size must be >= 1, got {size}")
-        self.size = size
-        self._ctx = multiprocessing.get_context()
-        self.result_queue = self._ctx.Queue()
-        self._workers: dict[str, _PoolWorker] = {}
-        self._spawned = 0
-
-    def start(self) -> None:
-        for _ in range(self.size):
-            self.spawn()
-
-    def spawn(self) -> _PoolWorker:
-        worker_id = f"pool{self._spawned}"
-        self._spawned += 1
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(worker_id, task_queue, self.result_queue),
-            name=f"service-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        worker = _PoolWorker(worker_id, process, task_queue)
-        self._workers[worker_id] = worker
-        return worker
-
-    def idle_workers(self) -> list[_PoolWorker]:
-        return [
-            worker
-            for worker in self._workers.values()
-            if worker.current is None and worker.process.is_alive()
-        ]
-
-    def dispatch(self, worker: _PoolWorker, task: ShardTask) -> None:
-        worker.current = task
-        worker.task_queue.put(task)
-
-    def current_task(self, worker_id: str) -> ShardTask | None:
-        worker = self._workers.get(worker_id)
-        return worker.current if worker is not None else None
-
-    def mark_idle(self, worker_id: str) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is not None:
-            worker.current = None
-
-    def reap_dead(self) -> list[tuple[str, ShardTask | None]]:
-        """Remove dead workers; returns ``(worker_id, lost_task)`` pairs."""
-        dead = [
-            worker
-            for worker in self._workers.values()
-            if not worker.process.is_alive()
-        ]
-        reaped = []
-        for worker in dead:
-            del self._workers[worker.worker_id]
-            reaped.append((worker.worker_id, worker.current))
-        return reaped
-
-    def pids(self) -> dict[str, int | None]:
-        return {
-            worker_id: worker.process.pid
-            for worker_id, worker in self._workers.items()
-        }
-
-    def describe(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "worker": worker.worker_id,
-                "pid": worker.process.pid,
-                "alive": worker.process.is_alive(),
-                "busy": worker.current is not None,
-                "job": worker.current.job_id if worker.current else None,
-                "shard": worker.current.shard.index if worker.current else None,
-            }
-            for worker in self._workers.values()
-        ]
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Sentinel every worker, join with a deadline, escalate leftovers."""
-        for worker in self._workers.values():
-            try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):  # queue already torn down
-                pass
-        deadline = time.monotonic() + timeout
-        for worker in self._workers.values():
-            worker.process.join(timeout=max(deadline - time.monotonic(), 0.1))
-        for worker in self._workers.values():
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            if worker.process.is_alive():  # pragma: no cover - last resort
-                worker.process.kill()
-                worker.process.join(timeout=2.0)
-        self._workers.clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -593,9 +344,6 @@ class FairScheduler:
         """The last published scheduling snapshot (immutable; lock-free)."""
         return self._snapshot
 
-    def worker_pids(self) -> list[int]:
-        return [pid for pid in self._pool.pids().values() if pid is not None]
-
     # -- ledger ----------------------------------------------------------- #
     def _ledger(self, record: str, **fields: Any) -> None:
         entry: dict[str, Any] = {"record": record, "ts": time.time()}
@@ -696,8 +444,7 @@ class FairScheduler:
             self._handle_result(result)
 
     def _handle_result(self, result: ShardTaskResult) -> None:
-        task = self._pool.current_task(result.worker)
-        self._pool.mark_idle(result.worker)
+        task = self._pool.finish(result.worker)
         self._ledger(
             "result",
             job=result.job_id,

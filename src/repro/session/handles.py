@@ -642,7 +642,6 @@ class CampaignHandle(ArtifactHandle):
             return stream_campaign(
                 self.spec,
                 self.store_dir,
-                parallel=policy.parallel_config(),
                 catalog=self._session._worker_catalog(),
                 shard_size=self.shard_size,
                 max_units=self.max_units,
@@ -697,7 +696,6 @@ class CampaignHandle(ArtifactHandle):
             shard_size = stored or policy.effective_shard_size
         result = resume_streaming(
             self.store_dir,
-            parallel=policy.parallel_config(),
             catalog=self._session._worker_catalog(),
             shard_size=shard_size,
             max_units=max_units,

@@ -6,13 +6,17 @@ campaign runner's ``batch=`` flag selecting the vectorized simulation
 kernel — behind one declarative object:
 
 ==========  =============================  ================================
-mode        worker pool                    simulation kernel (``auto``)
+mode        corpus generation and parsing  simulation kernel (``auto``)
 ==========  =============================  ================================
 ``batch``   serial (in-process)            vectorized :class:`BatchDirector`
 ``serial``  serial (in-process)            scalar :class:`RunDirector`
-``thread``  thread pool                    vectorized per worker chunk
-``process`` process pool                   vectorized per worker chunk
+``thread``  thread pool                    vectorized :class:`BatchDirector`
+``process`` process pool                   vectorized :class:`BatchDirector`
 ==========  =============================  ================================
+
+Campaign units are always simulated in-process; a sharded campaign fans
+out only through ``workers=N`` (:attr:`ExecutionPolicy.campaign_workers`),
+on a :class:`~repro.campaign.sharding.WorkerPool`.
 
 ``kernel`` overrides the last column (``"batch"`` / ``"scalar"``) when a
 fidelity study needs the scalar path under a pool, or vice versa.  The
@@ -178,8 +182,8 @@ class ExecutionPolicy:
         ``mode="process"`` (worker processes), an explicit ``workers`` count
         above one, and a sharded layout — shards are the unit of
         distribution, so unsharded campaigns ignore this entirely.  Each
-        spawned worker executes its claimed shards serially; the
-        parallelism lives at the worker level (``campaign/sharding.py``).
+        pool worker executes its shards serially; the parallelism lives at
+        the worker level (``campaign/sharding.py``).
         """
         if (
             self.mode == "process"

@@ -333,10 +333,11 @@ class TestRunner:
         assert CampaignStore(store_dir).status().is_complete
 
     def test_resume_frame_takes_the_snapshot_column_order(self, tmp_path):
-        # spec.json sorts base keys, so the snapshot annotates campaign_*
-        # columns in another order than this in-memory spec; shards flushed
-        # before the resume keep the in-memory order, yet the resumed frame
-        # is the snapshot's, as a fresh run of the snapshot would give it.
+        # Older stores' spec.json sorts base keys, so their snapshot
+        # annotates campaign_* columns in another order than this in-memory
+        # spec; shards flushed before the resume keep the in-memory order,
+        # yet the resumed frame is the snapshot's, as a fresh run of the
+        # snapshot would give it.
         spec = CampaignSpec(
             name="column-order",
             sweep={"cpu_model": GENERATIONS, "seed": [1, 2]},
@@ -345,6 +346,10 @@ class TestRunner:
         store_dir = tmp_path / "store"
         config = ParallelConfig(backend="serial", chunk_size=2)
         run_campaign(spec, store_dir, parallel=config, max_units=3)
+        # The snapshot as an older version wrote it.
+        (store_dir / "spec.json").write_text(
+            json.dumps(spec.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
+        )
         resumed = resume_campaign(store_dir, parallel=config)
         snapshot = CampaignStore(store_dir).load_spec()
         fresh = run_campaign(snapshot, tmp_path / "fresh")
@@ -373,29 +378,6 @@ class TestRunner:
         assert len(result.frame) == 2  # good units still aggregated
         status = store.status()
         assert status.failed == 1 and status.completed == 2
-
-    def test_pool_engaged_despite_default_serial_threshold(self, tmp_path, monkeypatch):
-        # The CLI's --jobs config keeps the executor's default
-        # serial_threshold (64); campaign batches sit at chunk_size*workers
-        # <= 64, so without the runner's threshold override every batch
-        # would fall back to serial execution.
-        import repro.parallel.executor as executor
-        from repro.parallel import ParallelConfig
-
-        engaged = {"pool": False}
-        original = executor.ThreadPoolExecutor
-
-        class SpyPool(original):
-            def __init__(self, *args, **kwargs):
-                engaged["pool"] = True
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(executor, "ThreadPoolExecutor", SpyPool)
-        spec = small_spec(name="threshold", seeds=(41,))
-        config = ParallelConfig(max_workers=2, backend="thread", chunk_size=2)
-        result = run_campaign(spec, tmp_path / "store", parallel=config)
-        assert result.simulated == 3 and not result.failures
-        assert engaged["pool"], "campaign batches must reach the worker pool"
 
     def test_process_backend_executes_campaign(self, tmp_path):
         from repro.parallel import ParallelConfig

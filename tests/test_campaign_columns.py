@@ -140,8 +140,7 @@ def test_scalar_and_batch_strategies_write_the_same_sidecars(tmp_path):
     spec, shard_size = SHARDED_SPECS[1]
     stream_campaign(spec, tmp_path / "batch", shard_size=shard_size)
     stream_campaign(spec, tmp_path / "scalar", shard_size=shard_size, batch=False)
-    pooled = ParallelConfig(backend="thread", max_workers=2, chunk_size=5)
-    stream_campaign(spec, tmp_path / "pooled", shard_size=shard_size, parallel=pooled)
+    stream_campaign(spec, tmp_path / "pooled", shard_size=shard_size, workers=2)
     reference = stored_sidecars(tmp_path / "batch")
     assert stored_sidecars(tmp_path / "scalar") == reference
     assert stored_sidecars(tmp_path / "pooled") == reference

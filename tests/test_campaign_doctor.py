@@ -155,6 +155,22 @@ class TestOrphans:
         assert healed.is_complete and healed.simulated == 0
         assert healed.frame().equals(result.frame())
 
+    def test_orphans_of_another_layout_are_kept_but_not_adoptable(self, tmp_path):
+        # A re-run at shard size 3 leaves the size-2 artifacts of shards 0
+        # and 1 unreferenced.  No resume at the stored layout adopts them,
+        # and unit-cache index lines still point into them, so they stay.
+        spec = doctor_spec(name="relayout", seeds=(1, 2, 3))  # 6 units
+        store_dir = tmp_path / "store"
+        stream_campaign(spec, store_dir, shard_size=2)
+        stream_campaign(spec, store_dir, shard_size=3)
+        report = doctor_store(store_dir, repair=True)
+        assert report.healthy
+        orphans = [note for note in report.notes if note.startswith("orphan artifact")]
+        assert len(orphans) == 2
+        assert not any("a resume can adopt it" in note for note in orphans)
+        assert len(CampaignStore(store_dir).shard_store) == 5
+        assert doctor_store(store_dir).healthy
+
     def test_corrupt_orphan_deleted_on_repair(self, healthy_store):
         store_dir, _ = healthy_store
         store = CampaignStore(store_dir)

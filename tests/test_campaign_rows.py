@@ -17,7 +17,6 @@ import pytest
 from repro.campaign import CampaignSpec, runner, stream_campaign
 from repro.campaign.runner import dispatch_simulations
 from repro.market.catalog import default_catalog
-from repro.parallel import ParallelConfig
 from repro.simulator import BatchDirector
 
 MODELS = [entry.cpu.model for entry in default_catalog().entries]
@@ -47,7 +46,7 @@ ORACLE_SPECS = [
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
 def test_derived_rows_equal_the_text_route_for_every_unit(spec):
     units = spec.expand()
-    outcomes = dispatch_simulations(list(units), ParallelConfig(backend="serial"), True, None)
+    outcomes = dispatch_simulations(list(units), True, None)
     assert len(outcomes) == len(units)
     by_key = {unit.key: unit for unit in units}
     for key, row, error in outcomes:

@@ -29,6 +29,7 @@ from repro.campaign.reduce import (
 from repro.campaign.store import ShardProgress
 from repro.cli.main import main as cli_main
 from repro.errors import CampaignError, SessionError
+from repro.faults import RetryPolicy
 from repro.frame import Frame
 from repro.frame.mmapio import SCAN_STATS
 from repro.session import Session
@@ -351,6 +352,47 @@ class TestShardResume:
         assert not resumed.shards[0].reloaded
         assert resumed.cache_hits == 3 and resumed.simulated == 15
 
+    def test_capped_pass_records_only_shards_holding_rows(self, tmp_path):
+        # A budget spent before a shard leaves nothing to store: no artifact,
+        # no index line and no record, so status shows the shard pending.
+        spec = sharded_spec(name="capped", seeds=(1, 2, 3, 4, 5, 6, 7, 8))  # 24 units
+        store_dir = tmp_path / "store"
+        capped = stream_campaign(spec, store_dir, shard_size=4, max_units=5)
+        assert [shard.n_rows for shard in capped.shards] == [4, 1, 0, 0, 0, 0]
+        store = CampaignStore(store_dir)
+        assert sorted(store.shard_entries()) == [0, 1]
+        assert len(store.shard_store) == 2
+        index = store.results_dir / "index.jsonl"
+        assert len(index.read_text(encoding="utf-8").splitlines()) == 2
+        status = store.status()
+        assert (status.total, status.completed, status.pending, status.failed) == (24, 5, 19, 0)
+        assert status.shards == ShardProgress(
+            total=6, complete=1, partial=1, rows_flushed=5, shard_size=4
+        )
+        resumed = resume_streaming(store_dir)
+        fresh = stream_campaign(spec, tmp_path / "fresh", shard_size=4)
+        assert resumed.is_complete and resumed.simulated == 19
+        assert resumed.frame().equals(fresh.frame())
+        assert resumed.aggregate.equals(fresh.aggregate)
+
+    def test_resume_expands_the_sweep_axes_in_run_order(self, tmp_path):
+        # A grid expands in sweep-axis order, so the spec snapshot a resume
+        # re-expands must keep the axes in the order the campaign ran them.
+        spec = CampaignSpec(
+            name="axis-order",
+            sweep={"seed": [1, 2, 3], "cpu_model": ["Xeon X5670", "EPYC 9654"]},
+            base=FAST_BASE,
+        )
+        store_dir = tmp_path / "store"
+        stream_campaign(spec, store_dir, shard_size=2, max_units=4)
+        resumed = resume_streaming(store_dir)
+        assert [shard.reloaded for shard in resumed.shards] == [True, True, False]
+        resident = run_campaign(spec, tmp_path / "resident")
+        assert list(resumed.frame()["campaign_unit"].values) == list(
+            resident.frame["campaign_unit"].values
+        )
+        assert resumed.frame().equals(resident.frame)
+
     def test_mismatched_layout_still_correct_via_unit_cache(self, tmp_path):
         spec = sharded_spec(name="relayout")
         store_dir = tmp_path / "store"
@@ -417,7 +459,7 @@ class TestShardResume:
         spec = sharded_spec(name="budget-fail", seeds=(1,))  # 3 units
         attempts = {"n": 0}
 
-        def always_failing(pending, config, batch, catalog):
+        def always_failing(pending, batch, catalog):
             attempts["n"] += len(pending)
             return [(unit.key, None, "SimulationError: injected") for unit in pending]
 
@@ -435,9 +477,9 @@ class TestShardResume:
         seen: list[bool] = []
         original = runner.dispatch_simulations
 
-        def spying(pending, config, batch, catalog):
+        def spying(pending, batch, catalog):
             seen.append(batch)
-            return original(pending, config, batch, catalog)
+            return original(pending, batch, catalog)
 
         monkeypatch.setattr(runner, "dispatch_simulations", spying)
         stream_campaign(
@@ -456,8 +498,8 @@ class TestShardResume:
         store_dir = tmp_path / "store"
         original = runner.dispatch_simulations
 
-        def sabotaged(pending, config, batch, catalog):
-            outcomes = original(pending, config, batch, catalog)
+        def sabotaged(pending, batch, catalog):
+            outcomes = original(pending, batch, catalog)
             key, _, _ = outcomes[0]
             return [(key, None, "SimulationError: injected")] + outcomes[1:]
 
@@ -481,8 +523,14 @@ class TestMultiWorker:
     def test_n_worker_run_bit_identical_to_serial_stream(self, tmp_path, workers):
         # The acceptance invariant: fanning shards across N workers changes
         # scheduling only — frame and aggregate stay bit-identical to the
-        # serial streamed run.
-        spec = sharded_spec(name="mworkers")
+        # serial streamed run.  The sweep axes are not in sorted order, so a
+        # worker expanding any other order than the coordinator's would
+        # leave it no shard to reload.
+        spec = CampaignSpec(
+            name="mworkers",
+            sweep={"seed": [1, 2, 3, 4, 5], "cpu_model": GENERATIONS},
+            base=FAST_BASE,
+        )
         serial = stream_campaign(spec, tmp_path / "serial", shard_size=5)
         fanned = stream_campaign(
             spec, tmp_path / f"w{workers}", shard_size=5, workers=workers
@@ -491,6 +539,8 @@ class TestMultiWorker:
         assert fanned.is_complete and not fanned.failures
         assert fanned.frame().equals(serial.frame())
         assert fanned.aggregate.equals(serial.aggregate)
+        if workers > 1:
+            assert [shard.reloaded for shard in fanned.shards] == [True] * 3
 
     def test_worker_run_matches_unsharded_reduction(self, tmp_path):
         spec = sharded_spec(name="mw-unsharded")
@@ -550,17 +600,21 @@ class TestMultiWorker:
         import os as _os
         import signal
 
-        from repro.campaign.sharding import _worker_entry
+        from repro.campaign import run_worker
 
         spec = sharded_spec(name="chaos")
         store_dir = tmp_path / "store"
         stream_campaign(spec, store_dir, shard_size=2, max_shards=0)  # 9 shards
 
         victim = multiprocessing.Process(
-            target=_worker_entry, args=(str(store_dir), "victim", True, 120.0, None)
+            target=run_worker,
+            args=(str(store_dir), "victim"),
+            kwargs={"handle_sigterm": True},
         )
         survivor = multiprocessing.Process(
-            target=_worker_entry, args=(str(store_dir), "survivor", True, 120.0, None)
+            target=run_worker,
+            args=(str(store_dir), "survivor"),
+            kwargs={"handle_sigterm": True},
         )
         victim.start()
         survivor.start()
@@ -578,6 +632,70 @@ class TestMultiWorker:
         clean = stream_campaign(spec, tmp_path / "clean", shard_size=2)
         assert finalized.frame().equals(clean.frame())
         assert finalized.aggregate.equals(clean.aggregate)
+
+    def test_pool_workers_retry_and_quarantine_like_a_serial_run(self, tmp_path):
+        # Pool workers run with the caller's retry policy: every unit is
+        # attempted as often as serially (a validation failure once, then
+        # quarantined), so the ledger and quarantine match line for line.
+        from test_campaign_columns import MIXED
+
+        retry = RetryPolicy(max_attempts=3, backoff_base=0.0)
+        serial = stream_campaign(MIXED, tmp_path / "serial", shard_size=6, retry=retry)
+        pooled = stream_campaign(
+            MIXED, tmp_path / "pooled", shard_size=6, retry=retry, workers=2
+        )
+
+        def ledger(result):
+            entries = CampaignStore(result.store_directory).ledger_entries()
+            return sorted(json.dumps(entry, sort_keys=True) for entry in entries)
+
+        def quarantine(result):
+            entries = CampaignStore(result.store_directory).quarantine_entries()
+            return sorted(
+                (entry["unit_id"], entry["key"], entry["error"], entry["attempts"])
+                for entry in entries
+            )
+
+        assert len(ledger(serial)) == 24
+        assert sum('"status": "failed"' in line for line in ledger(serial)) == 3
+        assert ledger(pooled) == ledger(serial)
+        assert len(quarantine(serial)) == 3 and quarantine(pooled) == quarantine(serial)
+        assert pooled.status == serial.status == "degraded"
+        assert sorted(pooled.quarantined) == sorted(serial.quarantined)
+        # The workers quarantined the units, so the serial pass reloads
+        # complete shards and re-lists no failure.
+        assert len(serial.failures) == 3 and not pooled.failures
+        assert pooled.frame().equals(serial.frame())
+        assert pooled.aggregate.equals(serial.aggregate)
+
+    def test_pool_worker_dying_mid_task_leaves_a_complete_run(
+        self, tmp_path, monkeypatch
+    ):
+        # One pool worker exits hard inside shard 1 (forked workers inherit
+        # the patch).  Dispatch goes on with the survivor, and the serial
+        # pass re-executes the shard the dead worker held.
+        import os as _os
+
+        import repro.campaign.sharding as sharding
+
+        original = sharding.execute_shard
+
+        def dying(store, shard, **kwargs):
+            if shard.index == 1:
+                _os._exit(3)
+            return original(store, shard, **kwargs)
+
+        monkeypatch.setattr(sharding, "execute_shard", dying)
+        spec = sharded_spec(name="dying-worker")
+        serial = stream_campaign(spec, tmp_path / "serial", shard_size=5)
+        fanned = stream_campaign(spec, tmp_path / "fanned", shard_size=5, workers=2)
+        assert fanned.is_complete and not fanned.failures
+        assert [shard.reloaded for shard in fanned.shards] == [True, False, True, True]
+        assert fanned.frame().equals(serial.frame())
+        assert fanned.aggregate.equals(serial.aggregate)
+        events = CampaignStore(tmp_path / "fanned").event_entries()
+        joins = [event for event in events if event["event"] == "pool_join"]
+        assert len(joins) == 1 and sorted(joins[0]["exitcodes"]) == [0, 3]
 
 
 # --------------------------------------------------------------------------- #

@@ -305,7 +305,7 @@ class TestPoolWorkerMemory:
         import weakref
 
         import repro.campaign.store as store_module
-        import repro.service.scheduler as scheduler_module
+        import repro.campaign.sharding as sharding_module
         from repro.campaign import ResultCache
         from repro.campaign.sharding import iter_shards
 
@@ -322,7 +322,7 @@ class TestPoolWorkerMemory:
             store_dir = tmp_path / f"job{job}"
             CampaignStore(store_dir, results_dir=results).initialize_streaming(spec, 2)
             tasks.put(
-                scheduler_module.ShardTask(
+                sharding_module.ShardTask(
                     job_id=f"job{job}",
                     store_dir=str(store_dir),
                     results_dir=str(results),
@@ -348,19 +348,19 @@ class TestPoolWorkerMemory:
 
         monkeypatch.setattr(CampaignStore, "__init__", tracking_init)
         alive_at_execute = []
-        original_execute = scheduler_module.execute_shard
+        original_execute = sharding_module.execute_shard
 
         def observed(store, shard, **kwargs):
             gc.collect()
             alive_at_execute.append(len(live))
             return original_execute(store, shard, **kwargs)
 
-        monkeypatch.setattr(scheduler_module, "execute_shard", observed)
+        monkeypatch.setattr(sharding_module, "execute_shard", observed)
 
         done: queue.Queue = queue.Queue()
         previous = signal.getsignal(signal.SIGTERM)
         try:
-            scheduler_module._pool_worker_main("pool0", tasks, done)
+            sharding_module._pool_worker_main("pool0", tasks, done)
         finally:
             signal.signal(signal.SIGTERM, previous)
         outcomes = [done.get_nowait() for _ in range(20)]
