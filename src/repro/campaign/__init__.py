@@ -27,9 +27,10 @@ Layers
 * :mod:`repro.campaign.leases` — lease records in the shard ledger that
   let cooperating worker processes claim shards and reclaim the work of
   crashed peers (with heartbeat renewal distinguishing slow from hung),
-* :mod:`repro.campaign.reduce` — online (Welford) reducers that fold the
-  per-shard frames into campaign aggregates without the full result set
-  ever being resident,
+* :mod:`repro.campaign.reduce` — campaign aggregates (count, sum, mean,
+  min, max, var and exact quantiles per column), reduced from each
+  column's values gathered one column at a time, so the full result set
+  is never resident,
 * :mod:`repro.campaign.doctor` — store health checks and conservative
   repair behind ``spectrends campaign doctor`` (torn logs, checksum
   mismatches, orphaned artifacts, stale leases).

@@ -65,6 +65,7 @@ __all__ = [
     "encode_options",
     "entry_digest",
     "unit_key",
+    "unit_key_parts",
     "ResultCache",
 ]
 
@@ -128,6 +129,26 @@ def unit_key(
         f'"schema":{SCHEMA_VERSION}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def unit_key_parts(params: Mapping[str, Any], encoded_options: str) -> tuple[str, str]:
+    """The key payload of a unit around its seed, as ``(head, tail)``.
+
+    ``params`` holds every resolved plan field but the seed.  For any
+    ``int`` seed, ``sha256(f"{head}{seed}{tail}")`` is :func:`unit_key` of
+    ``{**params, "seed": seed}``: the canonical text puts keys in sorted
+    order, so the seed's text sits between the fields that sort before
+    ``"seed"`` and those after.  An expansion builds the parts once per plan
+    and hashes one spliced string per unit.
+    """
+    before = _canonical_text({k: v for k, v in params.items() if k < "seed"})
+    after = _canonical_text({k: v for k, v in params.items() if k > "seed"})
+    head = before[:-1] + ("," if len(before) > 2 else "") + '"seed":'
+    tail = ("," + after[1:]) if len(after) > 2 else "}"
+    return (
+        f'{{"options":{encoded_options},"params":{head}',
+        f'{tail},"schema":{SCHEMA_VERSION}}}',
+    )
 
 
 class _ArtifactRows:

@@ -1,40 +1,45 @@
-"""Online reducers: campaign aggregates without the full result set resident.
+"""Campaign aggregates, reduced from each column's gathered values.
 
 The sharded streaming runner flushes each shard's rows to disk before the
 next shard starts, so nothing downstream may ever require every row at once.
-:class:`OnlineMoments` maintains count / sum / mean / min / max / variance of
-a value stream in O(1) state via Welford's recurrence, and
-:class:`FrameReducer` applies one such accumulator per numeric column of the
-campaign frame, shard by shard.
+The aggregate -- count / sum / mean / min / max / var and exact quantiles of
+every numeric column -- is therefore taken in a finalize pass: each column is
+read back from the shard artifacts on its own, into one float64 array of its
+valid values, and :func:`column_summary` reduces that array with NumPy.
+:func:`reduce_frame` runs the same function over a resident frame's columns.
+
+Value set
+---------
+Every statistic is taken over a column's *valid* values (:func:`valid_values`):
+finite and unmasked.  Masked entries, NaN and ±inf are not counted and carry
+no sum, moment or order statistic.
 
 Determinism contract
 --------------------
-``update`` consumes values *sequentially in row order*.  Because one scalar
-Welford step is performed per value, the sequence of floating-point
-operations is a function of the value stream alone — where the shard
-boundaries fall cannot change it.  A sharded campaign therefore produces
-aggregates **bit-identical** to reducing the unsharded frame in one call
-(pinned by the sharding tests), which is what lets the streaming path
-replace the materialised frame without changing a single reported number.
+The finalize gathers a column's valid values shard by shard, in shard-index
+order, so its array is the resident frame's valid values bit for bit,
+whatever the shard size, the worker count or the scheduler's interleaving.
+Both paths call one function on equal arrays, so a sharded, pooled or
+service campaign reports an aggregate bit-identical to :func:`reduce_frame`
+over the concatenated frame *by construction*, not by fold order (pinned by
+the sharding, service and property tests).
 
-:meth:`OnlineMoments.merge` additionally combines two independent
-accumulators through the parallel (Chan et al.) update.  Merging is the
-right tool when shards are reduced on different workers; it is numerically
-stable but *not* bit-identical to the sequential order, so the campaign
-data plane reduces sequentially and reserves ``merge`` for explicitly
-parallel consumers.
+:class:`FrameReducer` folds, shard by shard, only what is exact and
+independent of shard boundaries: each column's valid-value count.
+:class:`OnlineMoments`, the Welford recurrence, stays as a streaming
+accumulator for consumers without a finalize; the tests use it as the
+tolerance oracle for :func:`column_summary`'s sums and moments.
 
 Quantiles
 ---------
 Quantiles are exact and never streamed.  :func:`frame_quantiles` takes the
 quantiles of every numeric column of one frame in a single vectorized pass
-(what each ``shard_flush`` event reports), and :func:`column_quantiles`
-takes them over one column's values of the whole campaign (what the
-aggregate reports; the streaming runner reads those values back from the
-shard artifacts one column at a time).  Both use NumPy's linear rule on the
-finite, unmasked values, so they equal ``np.quantile`` of those values bit
-for bit — and since the value set does not depend on shard boundaries,
-neither can the quantiles.
+(what each shard artifact and ``shard_flush`` event records), and
+:func:`column_quantiles` takes them over one column's values of the whole
+campaign (what the aggregate reports).  Both use NumPy's linear rule on the
+valid values, so they equal ``np.quantile`` of those values bit for bit --
+and since the value set does not depend on shard boundaries, neither can the
+quantiles.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "OnlineMoments",
     "FrameReducer",
     "column_quantiles",
+    "column_summary",
     "frame_quantiles",
     "quantile_label",
     "reduce_frame",
@@ -65,6 +71,9 @@ _NUMERIC_KINDS = ("float", "int")
 #: report by default: median, tail, far tail.
 DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
+#: Fields of one column's summary, before its quantile labels.
+_SUMMARY_FIELDS = ("count", "sum", "mean", "min", "max", "var")
+
 #: Per-column quantile values keyed by label: ``{"p50": 1.0, ...}``; a
 #: column without a single valid value reports ``None``.
 Quantiles = dict[str, "float | None"]
@@ -78,8 +87,8 @@ def quantile_label(q: float) -> str:
 def valid_values(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """The finite, unmasked entries of one numeric column, as float64.
 
-    These are the values quantiles are taken over: masked entries, NaN and
-    ±inf carry no order statistics.
+    These are the values every statistic is taken over: masked entries, NaN
+    and ±inf are not counted.
     """
     values = np.asarray(values, dtype=np.float64)
     keep = np.isfinite(values)
@@ -134,6 +143,56 @@ def column_quantiles(
     return _labelled(table[0], quantiles)
 
 
+def column_summary(
+    values: np.ndarray, quantiles: Sequence[float] = DEFAULT_QUANTILES
+) -> dict[str, Any]:
+    """Count, sum, mean, min, max, var and exact quantiles of one column.
+
+    ``values`` are the column's valid values (see :func:`valid_values`); they
+    are sorted in place, since the caller hands over the array it gathered.
+    Every statistic is a NumPy reduction over the sorted array: its pairwise
+    sum, ``mean = sum / count``, the population variance from a second pass
+    over the deviations, the first and last values, and the quantiles of
+    :func:`column_quantiles`.  Equal arrays give equal summaries, bit for
+    bit.  A column without a single valid value has count 0 and ``None``
+    everywhere else.
+    """
+    labelled = column_quantiles(values, quantiles)
+    count = len(values)
+    if not count:
+        return {"count": 0, **dict.fromkeys(_SUMMARY_FIELDS[1:]), **labelled}
+    total = values.sum()
+    mean = total / count
+    deviations = values - mean
+    deviations *= deviations
+    return {
+        "count": count,
+        "sum": float(total),
+        "mean": float(mean),
+        "min": float(values[0]),
+        "max": float(values[-1]),
+        "var": float(deviations.sum() / count),
+        **labelled,
+    }
+
+
+def _numeric_block(frame: Frame) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``frame``'s numeric columns stacked into one float64 block.
+
+    Returns the column names, the ``(columns, rows)`` block and where its
+    entries are invalid (masked, NaN or ±inf).
+    """
+    names = [name for name in frame.columns if frame[name].kind in _NUMERIC_KINDS]
+    block = np.empty((len(names), len(frame)))
+    invalid = np.empty(block.shape, dtype=bool)
+    for row, name in enumerate(names):
+        column = frame[name]
+        block[row] = column.values
+        invalid[row] = column.mask
+    invalid |= ~np.isfinite(block)
+    return names, block, invalid
+
+
 def frame_quantiles(
     frame: Frame, quantiles: Sequence[float] = DEFAULT_QUANTILES
 ) -> dict[str, Quantiles]:
@@ -145,16 +204,11 @@ def frame_quantiles(
     sort instead of one ``np.quantile`` call per column.  Columns without a
     single valid value get no entry.
     """
-    names = [name for name in frame.columns if frame[name].kind in _NUMERIC_KINDS]
-    if not names or not quantiles:
+    if not quantiles:
         return {}
-    block = np.empty((len(names), len(frame)))
-    invalid = np.empty(block.shape, dtype=bool)
-    for row, name in enumerate(names):
-        column = frame[name]
-        block[row] = column.values
-        invalid[row] = column.mask
-    invalid |= ~np.isfinite(block)
+    names, block, invalid = _numeric_block(frame)
+    if not names:
+        return {}
     block[invalid] = np.nan
     block.sort(axis=1)
     counts = len(frame) - np.count_nonzero(invalid, axis=1)
@@ -169,8 +223,11 @@ def frame_quantiles(
 class OnlineMoments:
     """Streaming count / sum / mean / min / max / variance of one value stream.
 
-    State is five scalars (Welford's algorithm), so a reducer's memory cost
-    is independent of how many values it has seen.
+    State is five scalars (Welford's algorithm), so an accumulator's memory
+    cost is independent of how many values it has seen.  Its floats depend on
+    the order values arrive in, which is why the campaign aggregate uses
+    :func:`column_summary` instead; the tests hold that summary's sums and
+    moments to this accumulator within a relative tolerance.
     """
 
     __slots__ = ("count", "total", "mean", "_m2", "minimum", "maximum")
@@ -206,9 +263,8 @@ class OnlineMoments:
     def update(self, values: Iterable[Any], mask: np.ndarray | None = None) -> None:
         """Fold a batch of values, skipping entries flagged by ``mask``.
 
-        Values are consumed strictly in order, one Welford step each — see
-        the module docstring for why this (and not a vectorized pass) is
-        what makes sharded aggregates bit-identical to unsharded ones.
+        Values are consumed strictly in order, one Welford step each, so
+        cutting a stream into batches never changes a float.
         """
         if isinstance(values, np.ndarray):
             values = values.tolist()
@@ -220,38 +276,6 @@ class OnlineMoments:
             for value, missing in zip(values, mask.tolist()):
                 if not missing and value is not None:
                     self.push(value)
-
-    def merge(self, other: "OnlineMoments") -> "OnlineMoments":
-        """Combined accumulator of two independent streams (Chan et al.).
-
-        Returns a new accumulator; neither input is modified.  Use for
-        shards reduced on separate workers — the result is numerically
-        stable but depends on the merge tree, unlike sequential ``update``.
-        """
-        merged = OnlineMoments()
-        if self.count == 0:
-            other._copy_into(merged)
-            return merged
-        if other.count == 0:
-            self._copy_into(merged)
-            return merged
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        merged.count = n
-        merged.total = self.total + other.total
-        merged.mean = self.mean + delta * (other.count / n)
-        merged._m2 = self._m2 + other._m2 + delta * delta * (self.count * other.count / n)
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
-    def _copy_into(self, target: "OnlineMoments") -> None:
-        target.count = self.count
-        target.total = self.total
-        target.mean = self.mean
-        target._m2 = self._m2
-        target.minimum = self.minimum
-        target.maximum = self.maximum
 
     # ------------------------------------------------------------------ #
     @property
@@ -275,18 +299,20 @@ class OnlineMoments:
 
 
 class FrameReducer:
-    """One :class:`OnlineMoments` per numeric column, fed frame by frame.
+    """Per-column valid-value counts of a frame stream, and its summary frame.
 
     Columns are keyed by name in first-seen order; a column absent from a
     later frame (schema drift across shards) simply receives no values from
     it, mirroring the union-of-columns semantics of frame assembly.
+    ``update`` counts each numeric column's valid values in one vectorized
+    pass over the frame.
 
-    Each ``update`` also records the exact quantiles of the frame it folded
-    (:attr:`last_quantiles`, what shard events report).  Quantiles of the
-    whole stream cannot be folded from those, so :meth:`to_frame` takes
-    them from the caller — :func:`reduce_frame` for a resident frame, the
-    streaming runner's finalize pass for a sharded campaign.  Pass
-    ``quantiles=()`` to drop the quantile columns entirely.
+    Sums, moments, extremes and quantiles of the whole stream are not
+    folded: :meth:`to_frame` takes each column's :func:`column_summary` from
+    the caller — :func:`reduce_frame` for a resident frame, the streaming
+    runner's finalize pass for a sharded campaign.  :attr:`last_quantiles`
+    are the latest frame's own.  Pass ``quantiles=()`` to drop the quantile
+    columns entirely.
     """
 
     def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
@@ -294,73 +320,70 @@ class FrameReducer:
         for q in self.quantiles:
             if not 0.0 < q < 1.0:
                 raise StatsError(f"quantile must be in (0, 1), got {q}")
-        self._reducers: dict[str, OnlineMoments] = {}
+        #: Column -> how many valid values it has held so far.
+        self._counts: dict[str, int] = {}
         self.n_rows = 0
-        #: Exact quantiles of the most recent frame, per numeric column.
-        self.last_quantiles: dict[str, Quantiles] = {}
-
-    def __len__(self) -> int:
-        return len(self._reducers)
+        self._last: Frame | None = None
+        self._last_quantiles: dict[str, Quantiles] | None = None
 
     @property
     def columns(self) -> list[str]:
-        return list(self._reducers)
-
-    def __getitem__(self, name: str) -> OnlineMoments:
-        return self._reducers[name]
+        return list(self._counts)
 
     def update(self, frame: Frame) -> None:
-        """Fold every numeric column of ``frame`` into its reducer."""
+        """Count the valid values of every numeric column of ``frame``."""
         self.n_rows += len(frame)
-        for name in frame.columns:
-            column = frame[name]
-            if column.kind not in _NUMERIC_KINDS:
-                continue
-            reducer = self._reducers.get(name)
-            if reducer is None:
-                reducer = self._reducers[name] = OnlineMoments()
-            reducer.update(column.values, column.mask)
         if self.quantiles:
-            self.last_quantiles = frame_quantiles(frame, self.quantiles)
+            self._last, self._last_quantiles = frame, None
+        names, _, invalid = _numeric_block(frame)
+        counts = len(frame) - np.count_nonzero(invalid, axis=1)
+        for name, count in zip(names, counts.tolist()):
+            self._counts[name] = self._counts.get(name, 0) + count
 
-    def to_frame(self, quantiles: Mapping[str, Quantiles] | None = None) -> Frame:
+    @property
+    def last_quantiles(self) -> dict[str, Quantiles]:
+        """Exact quantiles of the most recent frame, per numeric column."""
+        if self._last_quantiles is None:
+            self._last_quantiles = (
+                frame_quantiles(self._last, self.quantiles) if self._last is not None else {}
+            )
+            self._last = None
+        return self._last_quantiles
+
+    def to_frame(self, summaries: Mapping[str, Mapping[str, Any]] | None = None) -> Frame:
         """The aggregate summary: one row per reduced column.
 
-        ``quantiles`` supplies each column's quantiles over the whole
-        stream (``column -> {"p50": ..., ...}``); a column it does not
-        cover reports ``None``, like an empty accumulator.
+        ``summaries`` maps a column to its :func:`column_summary` over the
+        whole stream.  A field it does not give reads ``None``, except the
+        count, which the reducer keeps itself.
         """
-        rows: dict[str, list] = {
-            "column": [],
-            "count": [],
-            "sum": [],
-            "mean": [],
-            "min": [],
-            "max": [],
-            "var": [],
-        }
-        labels = [quantile_label(q) for q in self.quantiles]
-        for label in labels:
-            rows[label] = []
-        quantiles = quantiles or {}
-        for name, reducer in self._reducers.items():
-            rows["column"].append(name)
-            for field, value in reducer.as_row().items():
-                rows[field].append(value)
-            values = quantiles.get(name, {})
-            for label in labels:
-                rows[label].append(values.get(label))
+        fields = [*_SUMMARY_FIELDS, *(quantile_label(q) for q in self.quantiles)]
+        rows: dict[str, list] = {"column": list(self._counts)}
+        for field in fields:
+            rows[field] = []
+        summaries = summaries or {}
+        for name, count in self._counts.items():
+            summary = {"count": count, **summaries.get(name, {})}
+            for field in fields:
+                rows[field].append(summary.get(field))
         return Frame.from_dict(rows)
 
 
 def reduce_frame(frame: Frame, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> Frame:
     """Aggregate summary of a fully materialised frame.
 
-    This is the unsharded counterpart of streaming a :class:`FrameReducer`
-    over shards: feeding the whole frame in one ``update`` performs the
-    exact same sequence of Welford steps, and the frame's own exact
-    quantiles are the campaign's, so the two are bit-identical.
+    The unsharded counterpart of a streamed campaign: each column's summary
+    is :func:`column_summary` of its valid values — the function a streamed
+    campaign's finalize calls on the same values gathered from the shard
+    artifacts, so the two are bit-identical.
     """
     reducer = FrameReducer(quantiles)
     reducer.update(frame)
-    return reducer.to_frame(reducer.last_quantiles)
+    return reducer.to_frame(
+        {
+            name: column_summary(
+                valid_values(frame[name].values, frame[name].mask), reducer.quantiles
+            )
+            for name in reducer.columns
+        }
+    )

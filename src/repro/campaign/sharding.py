@@ -8,9 +8,9 @@ of those rows: the unit cache's ``results/index.jsonl`` points into it).
 Three loops drive that step:
 
 * :func:`stream_campaign` consumes the expansion lazily through
-  :func:`iter_shards` (the full unit list never exists in memory) and folds
-  each shard's frame into :class:`~repro.campaign.reduce` reducers before the
-  next shard starts, so sweep size is O(shard) in memory,
+  :func:`iter_shards` (the full unit list never exists in memory) and lets
+  each shard's frame go before the next shard starts, so sweep size is
+  O(shard) in memory,
 * :func:`execute_shard` runs one shard for a worker process,
 * the resident :func:`~repro.campaign.runner.run_campaign` concatenates the
   shard frames into one in-memory campaign frame,
@@ -33,19 +33,20 @@ scheduler keeps one pool for its life; :func:`run_worker` runs
 Equivalence contract
 --------------------
 Sharding changes *when* rows leave memory, never *what* they are.  Unit
-keys and cached rows do not depend on the shard size, shard concatenation
-reproduces the campaign frame of any other shard size (the resident one
-included) bit-for-bit, and the sequential reducers make the streamed
-aggregate bit-identical to reducing that frame in one pass (all pinned by
-the sharding tests and ``benchmarks/test_bench_shard.py``).  Aggregate
-quantiles are exact: a finalize pass reads each numeric column back from
-the verified shard artifacts, one column at a time, and takes its
-quantiles over the same values the concatenated frame holds.  Worker pools
-keep the contract because aggregation never happens in workers: they only
-populate shard artifacts (deterministic, content-addressed), and the
-coordinator folds those artifacts in shard-index order exactly like a
-serial run — so an N-worker run is bit-identical to the 1-worker run and
-to reducing the concatenated frame in one pass.
+keys and cached rows do not depend on the shard size, and shard
+concatenation reproduces the campaign frame of any other shard size (the
+resident one included) bit-for-bit.  The aggregate is taken in a finalize
+pass that reads each numeric column back from the verified shard
+artifacts, one column at a time, and reduces the same values the
+concatenated frame holds with the function
+:func:`~repro.campaign.reduce.reduce_frame` applies to that frame — so the
+streamed aggregate is bit-identical to reducing the frame in one pass by
+construction (all pinned by the sharding tests and
+``benchmarks/test_bench_shard.py``).  Worker pools keep the contract
+because aggregation never happens in workers: they only populate shard
+artifacts (deterministic, content-addressed), and the coordinator reads
+those artifacts in shard-index order exactly like a serial run — so an
+N-worker run is bit-identical to the 1-worker run too.
 """
 
 from __future__ import annotations
@@ -77,7 +78,14 @@ from ..session.policy import ExecutionPolicy
 from .aggregate import annotate_row, assemble_frame
 from .cache import ResultCache
 from .leases import DEFAULT_LEASE_TTL, LeaseHeartbeat, LeaseLedger
-from .reduce import FrameReducer, Quantiles, column_quantiles, quantile_label, valid_values
+from .reduce import (
+    DEFAULT_QUANTILES,
+    FrameReducer,
+    column_summary,
+    frame_quantiles,
+    quantile_label,
+    valid_values,
+)
 from .spec import CampaignSpec, CampaignUnit
 from .store import CampaignStore
 
@@ -109,6 +117,10 @@ __all__ = [
 #: and the per-shard bookkeeping negligible, small enough that a resident
 #: shard (units + rows + frame) stays in the tens of megabytes.
 DEFAULT_SHARD_SIZE = 1024
+
+#: Labels of the quantiles shard artifacts and events record: one label list
+#: per artifact or event, one value list per column.
+_QUANTILE_LABELS = [quantile_label(q) for q in DEFAULT_QUANTILES]
 
 
 # --------------------------------------------------------------------------- #
@@ -204,6 +216,10 @@ class ShardOutcome:
     #: SHA-256 of the artifact's ``.npz`` sidecar this pass flushed or
     #: verified (``None`` for stores that predate checksums).
     checksum: str | None = None
+    #: The shard's exact quantiles as its event carries them
+    #: (``{column: [p50, p90, p99]}``), or ``None`` when the reloaded
+    #: artifact's payload already holds them.
+    quantiles: dict[str, list[float | None]] | None = None
 
     @property
     def is_complete(self) -> bool:
@@ -353,23 +369,24 @@ class StreamingCampaignResult:
 # --------------------------------------------------------------------------- #
 # Streaming execution
 # --------------------------------------------------------------------------- #
-def _campaign_quantiles(
+def _campaign_summaries(
     store: CampaignStore,
     outcomes: list[ShardOutcome],
     reducer: FrameReducer,
     reflush: Callable[[int], ShardOutcome],
-) -> dict[str, Quantiles]:
-    """Exact campaign-level quantiles of every reduced column.
+) -> dict[str, dict[str, Any]]:
+    """The campaign's :func:`~repro.campaign.reduce.column_summary` per column.
 
     The finalize half of the aggregate: each column is read back from the
     shard sidecars on its own (``pread`` of its stacked-member row and
-    mask row), so resident memory is one float64 per row plus one shard's
-    mask — never the whole frame.  A sidecar this pass flushed is read only
-    once its bytes match the checksum the flush recorded; a torn one is
-    re-flushed by ``reflush`` first, which re-simulates its rows (the torn
-    artifact was their only copy).  Reloaded and recovered shards were
-    verified against their checksum earlier in this pass and are not
-    hashed again.  Columns without a single valid value get no entry.
+    mask row) into one float64 array of its valid values, in shard order,
+    so resident memory is one float64 per row plus one shard's mask —
+    never the whole frame — and the array is the one a resident frame's
+    column yields.  A sidecar this pass flushed is read only once its bytes
+    match the checksum the flush recorded; a torn one is re-flushed by
+    ``reflush`` first, which re-simulates its rows (the torn artifact was
+    their only copy).  Reloaded and recovered shards were verified against
+    their checksum earlier in this pass and are not hashed again.
     """
     shard_store = store.shard_store
     sidecars: list[tuple[NpzMap, dict[str, tuple[str, int, int]], int]] = []
@@ -391,7 +408,7 @@ def _campaign_quantiles(
         slots = numeric_slots(shard_store.get(key)["columns"])
         sidecars.append((NpzMap(shard_store.sidecar_path(key)), slots, outcome.n_rows))
     gathered = np.empty(sum(n_rows for _, _, n_rows in sidecars))
-    quantiles: dict[str, Quantiles] = {}
+    summaries: dict[str, dict[str, Any]] = {}
     for name in reducer.columns:
         filled = 0
         for sidecar, slots, n_rows in sidecars:
@@ -404,18 +421,21 @@ def _campaign_quantiles(
             )
             gathered[filled : filled + len(values)] = values
             filled += len(values)
-        if filled:
-            quantiles[name] = column_quantiles(gathered[:filled], reducer.quantiles)
-    return quantiles
+        summaries[name] = column_summary(gathered[:filled], reducer.quantiles)
+    return summaries
 
 
-def _event_quantiles(quantiles: dict[str, Quantiles]) -> dict[str, list[float | None]]:
-    """``{column: [p50, p90, p99]}``: values in the reducer's quantile order."""
-    return {name: list(values.values()) for name, values in quantiles.items()}
+def _event_quantiles(
+    quantiles: Mapping[str, Mapping[str, Any]],
+) -> dict[str, list[float | None]]:
+    """``{column: [p50, p90, p99]}``: each column's values in label order."""
+    return {
+        name: [values[label] for label in _QUANTILE_LABELS] for name, values in quantiles.items()
+    }
 
 
-def _load_shard_frame(store: ArtifactStore, key: str) -> Frame | None:
-    """Rebuild one shard frame from its artifact; ``None`` on a miss."""
+def _load_shard(store: ArtifactStore, key: str) -> tuple[Frame, dict[str, Any]] | None:
+    """One shard's frame and artifact payload; ``None`` on a miss."""
     fault_point("artifact.read", ctx=key)
     payload = store.get(key)
     if payload is None:
@@ -423,7 +443,26 @@ def _load_shard_frame(store: ArtifactStore, key: str) -> Frame | None:
     arrays = store.get_arrays(key)
     if arrays is None:
         return None
-    return frame_from_arrays(payload["columns"], arrays)
+    return frame_from_arrays(payload["columns"], arrays), payload
+
+
+def _load_shard_frame(store: ArtifactStore, key: str) -> Frame | None:
+    """Rebuild one shard frame from its artifact; ``None`` on a miss."""
+    loaded = _load_shard(store, key)
+    return None if loaded is None else loaded[0]
+
+
+def _reload_quantiles(
+    frame: Frame, payload: Mapping[str, Any]
+) -> dict[str, list[float | None]] | None:
+    """What a reloaded shard's event carries: ``None`` if its payload has them.
+
+    Artifacts hold their shard's quantiles since they were first recorded
+    in the payload; one written before then has its quantiles taken again.
+    """
+    if "quantiles" in payload:
+        return None
+    return _event_quantiles(frame_quantiles(frame))
 
 
 def scan_shards(store_dir: str | os.PathLike) -> "LazyFrame":
@@ -615,11 +654,23 @@ def _flush_shard(
         artifact_key = shard.artifact_key()
         checksum = None
         flush_bytes = 0
+        quantiles = None
         if stored:
+            # Taken before the arrays are built: its sort block and the
+            # arrays are never resident together.
+            quantiles = _event_quantiles(frame_quantiles(frame))
             meta, arrays = frame_to_arrays(frame)
             fault_rule = fault_point("shard.flush", ctx=f"shard{shard.index}")
             shard_store = store.shard_store
-            shard_store.put(artifact_key, {"columns": meta, "n_rows": len(frame)}, arrays=arrays)
+            # The shard's exact quantiles are stored once, here: a reload's
+            # event names the artifact instead of repeating them.
+            payload = {
+                "columns": meta,
+                "n_rows": len(frame),
+                "quantile_labels": _QUANTILE_LABELS,
+                "quantiles": quantiles,
+            }
+            shard_store.put(artifact_key, payload, arrays=arrays)
             # Checksum of the *intended* bytes, taken before any injected
             # truncation below — so a torn flush records a checksum its
             # artifact cannot match, which is exactly how the reload path and
@@ -650,6 +701,7 @@ def _flush_shard(
             flush_bytes=flush_bytes,
             quarantined=n_quarantined,
             checksum=checksum,
+            quantiles=quantiles,
         )
     if not stored:
         return outcome, frame
@@ -702,11 +754,12 @@ def _reload_shard(
             # adopted.
             if store.shard_store.sidecar_digest(artifact_key) != checksum:
                 return None
-        frame = _load_shard_frame(store.shard_store, artifact_key)
+        loaded = _load_shard(store.shard_store, artifact_key)
     except (ArtifactError, CampaignError, InjectedFault):
         return None  # corrupt artifact: re-execute the shard
-    if frame is None or len(frame) + quarantined != shard.n_units:
+    if loaded is None or len(loaded[0]) + quarantined != shard.n_units:
         return None
+    frame, payload = loaded
     outcome = ShardOutcome(
         index=shard.index,
         start=shard.start,
@@ -719,6 +772,7 @@ def _reload_shard(
         reloaded=True,
         quarantined=quarantined,
         checksum=checksum if isinstance(checksum, str) else None,
+        quantiles=_reload_quantiles(frame, payload),
     )
     return outcome, frame
 
@@ -739,11 +793,12 @@ def _recover_shard(
     """
     artifact_key = shard.artifact_key()
     try:
-        frame = _load_shard_frame(store.shard_store, artifact_key)
+        loaded = _load_shard(store.shard_store, artifact_key)
     except (ArtifactError, CampaignError, InjectedFault):
         return None
-    if frame is None or len(frame) != shard.n_units:
+    if loaded is None or len(loaded[0]) != shard.n_units:
         return None
+    frame, payload = loaded
     entry: dict[str, Any] = {
         "index": shard.index,
         "start": shard.start,
@@ -772,6 +827,7 @@ def _recover_shard(
         artifact_key=artifact_key,
         reloaded=True,
         checksum=checksum,
+        quantiles=_reload_quantiles(frame, payload),
     )
     return outcome, frame
 
@@ -1106,14 +1162,15 @@ def populate_shards(
     batch: bool,
     catalog: Catalog | None,
     retry: RetryPolicy | None,
-) -> None:
+) -> dict[int, ShardTaskResult]:
     """Run the shards ``store`` does not record complete on a fresh pool.
 
     Shards are expanded lazily and handed out one per idle worker.  A shard
     a live peer holds is offered again a poll interval later, until a
     worker finds it recorded complete or claims it.  Dead workers are not
     respawned and dispatch stops once none is alive: what they held, like a
-    shard that failed, is left to the caller's serial pass.
+    shard that failed, is left to the caller's serial pass.  Returns the
+    workers' ``ok`` results by shard index: what the pool did in this call.
     """
     recorded = store.shard_entries()
     todo = (
@@ -1122,6 +1179,7 @@ def populate_shards(
         if not _shard_recorded_complete(shard, recorded.get(shard.index))
     )
     held: list[Shard] = []  # shards a live peer held, to offer again
+    done: dict[int, ShardTaskResult] = {}
     results_dir = str(store.results_dir)
     pool = WorkerPool(workers)
     store.record_event("pool_start", workers=workers)
@@ -1144,7 +1202,9 @@ def populate_shards(
             except Empty:
                 continue
             task = pool.finish(result.worker)
-            if result.status == "held" and task is not None:
+            if result.status == "ok":
+                done[result.index] = result
+            elif result.status == "held" and task is not None:
                 held.append(task.shard)
                 time.sleep(_POLL_S)  # a live peer holds it: offer it again later
     finally:
@@ -1154,6 +1214,7 @@ def populate_shards(
             workers=workers,
             exitcodes=[worker.process.exitcode for worker in started],
         )
+    return done
 
 
 # --------------------------------------------------------------------------- #
@@ -1275,12 +1336,12 @@ def stream_campaign(
     """Execute a campaign shard by shard with bounded resident memory.
 
     The expansion is consumed lazily, each shard's rows are flushed to a
-    columnar artifact before the next shard starts, and aggregates are
-    folded through online reducers — peak memory is O(shard_size), not
-    O(plan).  Re-invoking over the same store resumes at shard granularity:
-    complete shards reload their artifact wholesale, partial shards
-    re-execute only their missing units (per-unit cache hits keep repeats
-    cheap).
+    columnar artifact before the next shard starts, and the aggregate is
+    reduced one column at a time in a finalize pass — peak memory is
+    O(shard_size), not O(plan).  Re-invoking over the same store resumes
+    at shard granularity: complete shards reload their artifact wholesale,
+    partial shards re-execute only their missing units (per-unit cache hits
+    keep repeats cheap).
 
     ``max_units`` bounds new simulation *attempts* across the whole run
     (failures count, as in :func:`~repro.campaign.runner.run_campaign`);
@@ -1299,12 +1360,13 @@ def stream_campaign(
     then reloads every worker-completed artifact in shard order and
     re-executes anything a crashed worker left behind, so the result
     (frames *and* aggregate) is bit-identical to the serial streamed run
-    for any worker count.  Its counters are the serial pass's: shards a
-    worker completed count as reloaded.  Worker pools execute whole shards
-    concurrently, so they are incompatible with the
-    ``max_units``/``max_shards`` caps.  ``results_dir`` redirects the
-    unit-result cache (the campaign service points several job stores at
-    one shared cache for cross-client dedup).
+    for any worker count.  Shards a worker completed in this call report
+    as reloaded, but the result and ``campaign_complete`` count their units
+    as the worker did (simulated or cache hits), as the service counts its
+    jobs.  Worker pools execute whole shards concurrently, so they are
+    incompatible with the ``max_units``/``max_shards`` caps.
+    ``results_dir`` redirects the unit-result cache (the campaign service
+    points several job stores at one shared cache for cross-client dedup).
 
     ``retry`` (or ``policy.retry``) enables per-unit retry rounds with
     capped exponential backoff and poison-unit quarantine: a unit that
@@ -1346,10 +1408,11 @@ def stream_campaign(
         store = CampaignStore(store_dir, results_dir=results_dir)
         store.initialize_streaming(spec, shard_size)
 
+        pooled: dict[int, ShardTaskResult] = {}
         if n_workers > 1:
             # The pool populates shard artifacts; aggregation happens only in
             # the serial pass below, which keeps bit-identity trivially.
-            populate_shards(store, spec, shard_size, n_workers, batch, catalog, retry)
+            pooled = populate_shards(store, spec, shard_size, n_workers, batch, catalog, retry)
 
         total_units = spec.n_units
         n_shards = -(-total_units // shard_size)
@@ -1397,11 +1460,6 @@ def stream_campaign(
             )
             return outcome
 
-        # Events carry quantiles compactly: one label list per event, one value
-        # list per column (``campaign watch`` also reads the older
-        # ``{column: {label: value}}`` form).
-        quantile_labels = [quantile_label(q) for q in reducer.quantiles]
-
         tracer = get_tracer()
         with tracer.span("campaign.stream", name=spec.name, n_shards=n_shards):
             for shard in iter_shards(spec, catalog, shard_size=shard_size):
@@ -1411,11 +1469,29 @@ def stream_campaign(
                 outcome, frame = step(shard)
                 outcomes.append(outcome)
                 failures.extend(outcome.failures)
-                cache_hits += outcome.cache_hits
-                simulated += outcome.simulated
+                worker = pooled.get(shard.index) if outcome.reloaded else None
+                if worker is not None:
+                    # The pool ran this shard in this call: count its units
+                    # as the worker did, not as the reload that serves them.
+                    cache_hits += worker.cache_hits
+                    simulated += worker.simulated
+                else:
+                    cache_hits += outcome.cache_hits
+                    simulated += outcome.simulated
                 reducer.update(frame)
                 del frame  # the whole point: nothing accumulates
                 wall_s = time.perf_counter() - shard_start
+                # Events carry quantiles compactly: one label list per event,
+                # one value list per column (``campaign watch`` also reads the
+                # older ``{column: {label: value}}`` form).  A reload whose
+                # artifact payload holds them names the artifact instead.
+                if outcome.quantiles is None:
+                    telemetry: dict[str, Any] = {"artifact": outcome.artifact_key}
+                else:
+                    telemetry = {
+                        "quantile_labels": _QUANTILE_LABELS,
+                        "quantiles": outcome.quantiles,
+                    }
                 store.record_event(
                     "shard_flush",
                     index=outcome.index,
@@ -1433,12 +1509,11 @@ def stream_campaign(
                     units_per_s=(outcome.n_units / wall_s) if wall_s > 0 else None,
                     rows_total=reducer.n_rows,
                     n_shards=n_shards,
-                    quantile_labels=quantile_labels,
-                    quantiles=_event_quantiles(reducer.last_quantiles),
+                    **telemetry,
                 )
                 if progress is not None:
                     progress(outcome, n_shards)
-            quantiles = _campaign_quantiles(store, outcomes, reducer, reflush)
+            summaries = _campaign_summaries(store, outcomes, reducer, reflush)
 
         # Latest quarantine record per key: what the result reports as excluded.
         quarantine_records: dict[str, tuple[str, str]] = {}
@@ -1450,12 +1525,15 @@ def stream_campaign(
                     str(entry.get("error", "unknown error")),
                 )
         # A one-shard pass's campaign quantiles are its shard's, which its
-        # shard_flush event already carries; ``campaign watch`` reads them there.
+        # shard_flush event (or the artifact it names) already holds;
+        # ``campaign watch`` reads them there.
         repeated = {}
         if len(outcomes) != 1:
             repeated = {
-                "quantile_labels": quantile_labels,
-                "quantiles": _event_quantiles(quantiles),
+                "quantile_labels": _QUANTILE_LABELS,
+                "quantiles": _event_quantiles(
+                    {name: summary for name, summary in summaries.items() if summary["count"]}
+                ),
             }
         store.record_event(
             "campaign_complete",
@@ -1476,7 +1554,7 @@ def stream_campaign(
         simulated=simulated,
         failures=tuple(failures),
         shards=tuple(outcomes),
-        aggregate=reducer.to_frame(quantiles),
+        aggregate=reducer.to_frame(summaries),
         store_directory=str(store.directory),
         n_workers=n_workers,
         quarantined=tuple(quarantine_records.values()),

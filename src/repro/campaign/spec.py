@@ -15,21 +15,30 @@ content-hash keys, which is what makes campaign caching and resumption safe.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..errors import CampaignError
 from ..market.catalog import Catalog, CatalogEntry, default_catalog
 from ..market.fleet import SystemPlan
 from ..simulator.director import SimulationOptions
 from ..units import MonthDate
-from .cache import encode_options, entry_digest, unit_key
+from .cache import encode_options, entry_digest, unit_key, unit_key_parts
 
-__all__ = ["PLAN_AXES", "OPTION_AXES", "CampaignUnit", "CampaignSpec"]
+__all__ = [
+    "PLAN_AXES",
+    "OPTION_AXES",
+    "CampaignUnit",
+    "CampaignSpec",
+    # Keying's reference function, still looked up here by the per-layer
+    # trace (perfbench/tracing.py); expansions hash templates instead.
+    "unit_key",
+]
 
 #: Axes resolved into the :class:`SystemPlan` of a unit.
 PLAN_AXES: tuple[str, ...] = ("cpu_model", "nodes", "sockets", "memory_gb")
@@ -46,6 +55,9 @@ OPTION_AXES: tuple[str, ...] = (
 )
 
 _ALL_AXES: tuple[str, ...] = PLAN_AXES + OPTION_AXES + ("seed",)
+
+#: Axes a unit's plan signature is taken over: everything but the seed.
+_SIGNATURE_AXES: tuple[str, ...] = PLAN_AXES + OPTION_AXES
 
 # Fixed, plausibility-only plan fields: campaign submissions are synthetic
 # scenario probes, not market samples, so vendor strings stay constant.
@@ -87,13 +99,29 @@ class CampaignUnit:
         return f"{self.unit_id} ({parts})"
 
 
+class _PlanTemplate(NamedTuple):
+    """What every unit with one plan signature shares: all but its seed.
+
+    ``head + str(seed) + tail`` is the unit's key payload (see
+    :func:`~repro.campaign.cache.unit_key_parts`), and ``plan`` holds the
+    :class:`SystemPlan` fields other than the run id.
+    """
+
+    head: str
+    tail: str
+    options: SimulationOptions
+    plan: dict[str, Any]
+
+
 @dataclass
 class _ExpansionMemo:
     """Work one expansion shares across its units.
 
-    An expansion resolves against one catalog and a few options values, so
-    each catalog entry is digested, and each options value built and
-    encoded, once per expansion rather than once per unit.
+    An expansion resolves against one catalog and a few values per axis, so
+    each catalog entry is digested, each options value built and encoded,
+    and each plan signature resolved once per expansion rather than once
+    per unit.  A unit then costs one seed splice, one SHA-256 and its plan
+    and unit objects.
     """
 
     #: CPU model -> :func:`entry_digest` of its catalog entry.
@@ -102,6 +130,10 @@ class _ExpansionMemo:
     options: dict[tuple[int, ...], tuple[SimulationOptions, str]] = field(
         default_factory=dict
     )
+    #: The signature axes this spec sets (the same for each of its units).
+    axes: tuple[str, ...] | None = None
+    #: Plan signature (ids of the signature axis values) -> its template.
+    plans: dict[tuple[int, ...], _PlanTemplate] = field(default_factory=dict)
 
 
 def _default_sockets(entry: CatalogEntry) -> int:
@@ -231,7 +263,40 @@ class CampaignSpec:
     ) -> CampaignUnit:
         params = dict(self.base)
         params.update(assignment)
+        if memo.axes is None:
+            memo.axes = tuple(axis for axis in _SIGNATURE_AXES if axis in params)
+        # Axis values are the spec's own objects (from ``base`` or a
+        # ``sweep`` tuple), alive for the whole expansion, so their ids name
+        # one value exactly; equality would conflate 120 with 120.0, whose
+        # keys differ.
+        signature = tuple([id(params[axis]) for axis in memo.axes])
+        template = memo.plans.get(signature)
+        if template is None:
+            # A new signature resolves in full, so a bad value fails at the
+            # first unit that carries it.
+            template = memo.plans[signature] = self._plan_template(params, catalog, memo)
+        seed = int(params.get("seed", 2024))
+        key = hashlib.sha256(f"{template.head}{seed}{template.tail}".encode()).hexdigest()
+        # The run id seeds the per-run RNG stream, so it must be a function
+        # of the unit's *content* only — never of the campaign name — or the
+        # same cache key could map to different simulated results.
+        plan = SystemPlan(run_id=f"campaign-{key[:16]}", **template.plan)
+        # ``params`` keeps the *assignment view* (swept + explicitly fixed
+        # axes) for frame annotation; resolved defaults stay out of it so
+        # campaign columns mirror what the spec author wrote.
+        return CampaignUnit(
+            index=index,
+            key=key,
+            params=params,
+            plan=plan,
+            options=template.options,
+            seed=seed,
+        )
 
+    def _plan_template(
+        self, params: dict[str, Any], catalog: Catalog, memo: _ExpansionMemo
+    ) -> _PlanTemplate:
+        """Resolve everything a unit derives from its plan signature."""
         cpu_model = params.get("cpu_model")
         if cpu_model is None:
             raise CampaignError(
@@ -248,13 +313,8 @@ class CampaignSpec:
         memory_gb = float(
             params.get("memory_gb", entry.typical_memory_gb_per_socket * sockets)
         )
-        seed = int(params.get("seed", 2024))
 
         option_axes = [axis for axis in OPTION_AXES if axis in params]
-        # Option values are the spec's own objects (from ``base`` or a
-        # ``sweep`` tuple), alive for the whole expansion, so their ids name
-        # one options value exactly; equality would conflate 120 with 120.0,
-        # whose keys differ.
         token = tuple(id(params[axis]) for axis in option_axes)
         memoized = memo.options.get(token)
         if memoized is None:
@@ -266,55 +326,41 @@ class CampaignSpec:
         if digest is None:
             digest = memo.digests[cpu_model] = entry_digest(entry)
 
-        resolved = {
-            "cpu_model": cpu_model,
-            "nodes": nodes,
-            "sockets": sockets,
-            "memory_gb": memory_gb,
-            "seed": seed,
-            # The simulated result depends on the catalog entry behind the
-            # model name, not just the name: a custom catalog with the same
-            # model but different silicon must miss the cache.
-            "catalog_entry": digest,
-        }
-        key = unit_key(resolved, options, encoded_options)
-        # The run id seeds the per-run RNG stream, so it must be a function
-        # of the unit's *content* only — never of the campaign name — or the
-        # same cache key could map to different simulated results.
-        run_id = f"campaign-{key[:16]}"
+        head, tail = unit_key_parts(
+            {
+                "cpu_model": cpu_model,
+                "nodes": nodes,
+                "sockets": sockets,
+                "memory_gb": memory_gb,
+                # The simulated result depends on the catalog entry behind
+                # the model name, not just the name: a custom catalog with
+                # the same model but different silicon must miss the cache.
+                "catalog_entry": digest,
+            },
+            encoded_options,
+        )
 
         release = entry.cpu.release
         test_date = release.shift(2)
         if test_date < _EARLIEST_TEST:
             test_date = _EARLIEST_TEST
-        plan = SystemPlan(
-            run_id=run_id,
-            hw_avail=release,
-            sw_avail=test_date.shift(-1),
-            test_date=test_date,
-            publication_date=test_date.shift(2),
-            cpu_model=cpu_model,
-            sockets=sockets,
-            nodes=nodes,
-            memory_gb=memory_gb,
-            os_name=_OS_NAME,
-            jvm_name=_JVM_NAME,
-            system_vendor=_SYSTEM_VENDOR,
-            system_model=_SYSTEM_MODEL,
-            psu_rating_w=_psu_rating(entry, sockets, memory_gb),
-            category="server",
-        )
-        # ``params`` keeps the *assignment view* (swept + explicitly fixed
-        # axes) for frame annotation; resolved defaults stay out of it so
-        # campaign columns mirror what the spec author wrote.
-        return CampaignUnit(
-            index=index,
-            key=key,
-            params=dict(params),
-            plan=plan,
-            options=options,
-            seed=seed,
-        )
+        plan = {
+            "hw_avail": release,
+            "sw_avail": test_date.shift(-1),
+            "test_date": test_date,
+            "publication_date": test_date.shift(2),
+            "cpu_model": cpu_model,
+            "sockets": sockets,
+            "nodes": nodes,
+            "memory_gb": memory_gb,
+            "os_name": _OS_NAME,
+            "jvm_name": _JVM_NAME,
+            "system_vendor": _SYSTEM_VENDOR,
+            "system_model": _SYSTEM_MODEL,
+            "psu_rating_w": _psu_rating(entry, sockets, memory_gb),
+            "category": "server",
+        }
+        return _PlanTemplate(head, tail, options, plan)
 
     def iter_units(
         self, catalog: Catalog | None = None, check_duplicates: bool = True

@@ -11,6 +11,10 @@
   with a sparkline of the per-shard median,
 * threshold/drift alerts over the per-shard telemetry.
 
+A shard's quantiles are stored once, in its artifact's payload, and the
+event of the pass that flushed it repeats them; a reload's event names the
+artifact instead, and watch reads them from the payload.
+
 Everything here is a *reader* of campaign state: watch can attach to a
 store mid-run from another process without perturbing the campaign (the
 writer appends, the watcher polls).
@@ -58,7 +62,7 @@ def _pick_metric(quantiles: dict[str, Any], metric: str | None) -> str | None:
 
 
 def _quantiles_by_label(event: dict[str, Any]) -> dict[str, dict[str, Any]]:
-    """An event's quantiles as ``{column: {label: value}}``.
+    """An event's (or artifact payload's) quantiles as ``{column: {label: value}}``.
 
     Events carry ``{column: [values]}`` plus one ``quantile_labels`` list;
     stores written before that format hold the per-column dicts directly.
@@ -70,14 +74,42 @@ def _quantiles_by_label(event: dict[str, Any]) -> dict[str, dict[str, Any]]:
     return {name: dict(zip(labels, values)) for name, values in quantiles.items()}
 
 
-def _whole_campaign_quantiles(events: list[dict[str, Any]]) -> dict[str, Any] | None:
+class _EventQuantiles:
+    """An event's quantiles by label: its own, else its artifact payload's.
+
+    A call returns ``None`` for an event that carries no quantiles and names
+    no artifact; an artifact that is gone reads as no quantiles.  Each
+    artifact payload is read once.
+    """
+
+    def __init__(self, store: Any):
+        self._shards = store.shard_store
+        self._payloads: dict[str, dict[str, Any]] = {}
+
+    def __call__(self, event: dict[str, Any]) -> dict[str, dict[str, Any]] | None:
+        if "quantiles" in event:
+            return _quantiles_by_label(event)
+        key = event.get("artifact")
+        if not isinstance(key, str):
+            return None
+        if key not in self._payloads:
+            try:
+                self._payloads[key] = self._shards.get(key) or {}
+            except CampaignError:  # malformed key or unreadable payload
+                self._payloads[key] = {}
+        return _quantiles_by_label(self._payloads[key])
+
+
+def _whole_campaign_quantiles(
+    events: list[dict[str, Any]], quantiles_of: _EventQuantiles
+) -> dict[str, Any] | None:
     """Whole-campaign quantiles, if the latest pass covered every shard.
 
     Every pass ends in ``campaign_complete``, capped ones too; only a pass
     that folded all ``n_shards`` shards, with no flush after it, speaks for
     the whole campaign.  A one-shard pass leaves its quantiles in the
-    ``shard_flush`` just before (they are the campaign's) rather than
-    repeating them.
+    ``shard_flush`` just before, or in the artifact that event names (they
+    are the campaign's), rather than repeating them.
     """
     for position in range(len(events) - 1, -1, -1):
         event = events[position]
@@ -90,7 +122,7 @@ def _whole_campaign_quantiles(events: list[dict[str, Any]]) -> dict[str, Any] | 
             if "quantiles" not in event and event.get("shards") == 1:
                 flushes = (e for e in reversed(events[:position]) if e.get("event") == "shard_flush")
                 event = next(flushes, event)
-            return _quantiles_by_label(event) if "quantiles" in event else None
+            return quantiles_of(event)
     return None
 
 
@@ -156,12 +188,12 @@ def render_watch_frame(
             f"rate    {ascii_sparkline(rates, width=strip_width)}"
             f"  last {_fmt(last)} units/s"
         )
-        latest = flushes[-1]
-        quantiles = _quantiles_by_label(latest)
+        quantiles_of = _EventQuantiles(store)
+        quantiles = quantiles_of(flushes[-1]) or {}
         chosen = _pick_metric(quantiles, metric)
         if chosen is not None:
-            history = [_quantiles_by_label(e).get(chosen, {}).get("p50") for e in flushes]
-            final = _whole_campaign_quantiles(events)
+            history = [(quantiles_of(e) or {}).get(chosen, {}).get("p50") for e in flushes]
+            final = _whole_campaign_quantiles(events, quantiles_of)
             if final is not None:
                 scope, estimates = "campaign", final.get(chosen) or {}
             else:

@@ -23,8 +23,8 @@ runner takes — whose only side effect is the shard's content-addressed
 artifact plus its ledger record.  When a job's shards are all resolved,
 a **serial finalize pass** (plain
 :func:`~repro.campaign.sharding.stream_campaign` over the same store)
-reloads the artifacts in shard order and folds the aggregate exactly as a
-clean serial run would.  Which worker executed a shard, and what it
+reloads the artifacts in shard order and reduces the aggregate exactly as
+a clean serial run would.  Which worker executed a shard, and what it
 interleaved with, can therefore never change a single byte of the job's
 result — the same argument that pinned N-worker == serial identity.
 

@@ -22,7 +22,7 @@ from repro.campaign import (
 )
 from repro.campaign.reduce import (
     DEFAULT_QUANTILES,
-    column_quantiles,
+    column_summary,
     quantile_label,
     valid_values,
 )
@@ -49,10 +49,10 @@ def sharded_spec(name="shard-test", seeds=(1, 2, 3, 4, 5, 6)) -> CampaignSpec:
     )
 
 
-def gathered_quantiles(frames, names) -> dict:
-    """Each column's quantiles over its valid values gathered across frames."""
+def gathered_summaries(frames, names) -> dict:
+    """Each column's summary over its valid values gathered across frames."""
     return {
-        name: column_quantiles(
+        name: column_summary(
             np.concatenate(
                 [valid_values(f[name].values, f[name].mask) for f in frames if name in f]
             )
@@ -151,25 +151,6 @@ class TestOnlineMoments:
         moments.update([1.0, None, 3.0], mask=np.array([False, False, True]))
         assert moments.count == 1 and moments.total == 1.0
 
-    def test_merge_combines_independent_streams(self):
-        left, right = OnlineMoments(), OnlineMoments()
-        a = list(np.random.default_rng(3).normal(0.0, 1.0, 40))
-        b = list(np.random.default_rng(4).normal(2.0, 0.5, 60))
-        left.update(a)
-        right.update(b)
-        merged = left.merge(right)
-        both = np.array(a + b)
-        assert merged.count == 100
-        assert merged.mean == pytest.approx(both.mean(), rel=1e-12)
-        assert merged.variance == pytest.approx(both.var(), rel=1e-10)
-        assert merged.minimum == both.min() and merged.maximum == both.max()
-
-    def test_merge_with_empty_is_identity(self):
-        filled = OnlineMoments()
-        filled.update([1.0, 2.0, 3.0])
-        for merged in (filled.merge(OnlineMoments()), OnlineMoments().merge(filled)):
-            assert merged.as_row() == filled.as_row()
-
     def test_empty_accumulator_row(self):
         row = OnlineMoments().as_row()
         assert row["count"] == 0
@@ -193,10 +174,11 @@ class TestFrameReducer:
             mask[start : start + 17] = True
             chunks.append(frame.filter(mask))
             streamed.update(chunks[-1])
-        # Moments fold chunk by chunk; quantiles are taken once over the
-        # values gathered column by column, as the finalize pass does.
-        quantiles = gathered_quantiles(chunks, streamed.columns)
-        assert streamed.to_frame(quantiles).equals(reduce_frame(frame))
+        # Count, min and max fold chunk by chunk; sums, moments and
+        # quantiles are taken once over the values gathered column by
+        # column, as the finalize pass does.
+        summaries = gathered_summaries(chunks, streamed.columns)
+        assert streamed.to_frame(summaries).equals(reduce_frame(frame))
 
     def test_string_columns_excluded(self):
         frame = Frame.from_dict({"name": ["a", "b"], "value": [1.0, 2.0]})
@@ -696,6 +678,30 @@ class TestMultiWorker:
         events = CampaignStore(tmp_path / "fanned").event_entries()
         joins = [event for event in events if event["event"] == "pool_join"]
         assert len(joins) == 1 and sorted(joins[0]["exitcodes"]) == [0, 3]
+
+
+class TestPooledCounts:
+    def test_pooled_run_counts_the_pools_work(self, tmp_path, capsys):
+        # Every shard the pool flushed reloads in the serial pass; the
+        # counters still report what the pool did in this call.
+        spec = CampaignSpec(
+            name="mw-counts",
+            sweep={"cpu_model": GENERATIONS[:2], "seed": [1, 2, 3, 4]},
+            base=FAST_BASE,
+        )
+        store_dir = tmp_path / "pooled"
+        cold = stream_campaign(spec, store_dir, shard_size=3, workers=2)
+        assert (cold.simulated, cold.cache_hits) == (8, 0)
+        assert [shard.reloaded for shard in cold.shards] == [True] * 3
+        final = CampaignStore(store_dir).event_entries()[-1]
+        assert (final["simulated"], final["cache_hits"]) == (8, 0)
+        warm = stream_campaign(spec, store_dir, shard_size=3, workers=2)
+        assert (warm.simulated, warm.cache_hits) == (0, 8)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        args = ["campaign", "run", "--spec", str(spec_path), "--store", str(tmp_path / "cli")]
+        assert cli_main([*args, "--shard-size", "3", "--workers", "2"]) == 0
+        assert "0 cached, 8 simulated" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------- #

@@ -110,6 +110,23 @@ class TestGoldenStores:
         )
 
 
+def test_reloads_of_artifacts_without_quantiles_repeat_them(tmp_path):
+    # The golden artifacts predate quantiles in the artifact payload, so a
+    # reload's event carries them again, equal to the flush's own.
+    store_dir = golden_copy(tmp_path, "streamed")
+    store = CampaignStore(store_dir)
+    written = store.event_entries()
+    resume_streaming(store_dir)
+    flushed = [event for event in written if event["event"] == "shard_flush"]
+    reloaded = [
+        event for event in store.event_entries()[len(written) :] if event["event"] == "shard_flush"
+    ]
+    assert [event["reloaded"] for event in reloaded] == [True] * 3
+    for old, new in zip(flushed, reloaded):
+        assert new["quantile_labels"] == old["quantile_labels"]
+        assert new["quantiles"] == old["quantiles"]
+
+
 @pytest.mark.parametrize("name", ["streamed", "streamed-partial"])
 def test_query_and_scan_read_the_recorded_shards(tmp_path, name, capsys):
     store_dir = golden_copy(tmp_path, name)

@@ -197,6 +197,52 @@ class TestRenderWatchFrame:
         assert "[threshold] shard reported failed units (shard 99)" in frame
 
 
+def p50_cells(frame: str) -> str:
+    """The p50 sparkline of a rendered watch frame, one cell per flush."""
+    line = next(line for line in frame.splitlines() if line.startswith("p50     "))
+    return line[len("p50     ") :]
+
+
+class TestReplayTelemetry:
+    """A reload's event names its artifact; watch reads the quantiles there."""
+
+    def test_replay_of_a_one_shard_store_appends_no_quantiles(self, tmp_path):
+        # Default load levels: the columns a real campaign reports.
+        spec = CampaignSpec(name="replay", sweep={"cpu_model": GENERATIONS, "seed": [1, 2]})
+        store_dir = tmp_path / "store"
+        stream_campaign(spec, store_dir)
+        store = CampaignStore(store_dir)
+        before = render_watch_frame(store_dir).splitlines()
+        size = store.events_path.stat().st_size
+        replay = stream_campaign(spec, store_dir)
+        assert [shard.reloaded for shard in replay.shards] == [True]
+        assert store.events_path.stat().st_size - size <= 800
+        *_, flush, final = store.event_entries()
+        assert flush["event"] == "shard_flush" and final["event"] == "campaign_complete"
+        assert "quantiles" not in flush and "quantiles" not in final
+        assert flush["artifact"] == replay.shards[0].artifact_key
+        after = render_watch_frame(store_dir).splitlines()
+        for prefix in ("metric  ", "  campaign quantiles: p50="):
+            (line,) = [line for line in before if line.startswith(prefix)]
+            assert line in after
+        assert len(p50_cells("\n".join(after))) == 2
+        assert " " not in p50_cells("\n".join(after))
+
+    def test_pooled_run_renders_quantiles_from_its_artifacts(self, tmp_path):
+        store_dir = tmp_path / "pooled"
+        stream_campaign(watch_spec(), store_dir, shard_size=4, workers=2)
+        flushes = [
+            event
+            for event in CampaignStore(store_dir).event_entries()
+            if event["event"] == "shard_flush"
+        ]
+        assert [event["reloaded"] for event in flushes] == [True] * 3
+        assert not any("quantiles" in event for event in flushes)
+        frame = render_watch_frame(store_dir)
+        assert "campaign quantiles: p50=" in frame
+        assert len(p50_cells(frame)) == 3 and " " not in p50_cells(frame)
+
+
 class TestWatchLoop:
     def test_once_renders_single_frame(self, finished_store):
         buffer = io.StringIO()

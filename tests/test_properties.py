@@ -6,18 +6,28 @@ These check invariants rather than specific values:
 * statistics respect their mathematical bounds,
 * the power model is monotonic in load and internally consistent,
 * the report renderer and parser form a lossless round trip for the fields
-  the analysis uses.
+  the analysis uses,
+* a streamed campaign aggregate equals the resident one bit for bit, wherever
+  the shard boundaries fall.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.reduce import (
+    FrameReducer,
+    OnlineMoments,
+    column_summary,
+    reduce_frame,
+    valid_values,
+)
 from repro.frame import Column, Frame
 from repro.frame.csvio import frame_from_csv_text, frame_to_csv_text
 from repro.plotting.scale import Extent, LinearScale, nice_ticks
@@ -318,3 +328,113 @@ def test_dvfs_activity_factor_bounded(effectiveness, load, floor):
     value = model.activity_factor(load)
     assert 0.0 <= value <= 1.0
     assert value <= load + 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# Campaign aggregate: streamed == resident by construction
+# --------------------------------------------------------------------------- #
+aggregate_floats = st.one_of(
+    st.floats(min_value=-1e15, max_value=1e15, allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def cut_frames(draw):
+    """A frame of masked float and int columns, and where shards cut it."""
+    rows = draw(st.integers(min_value=1, max_value=200))
+
+    def column(elements, dtype, kind):
+        values = draw(st.lists(elements, min_size=rows, max_size=rows))
+        mask = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        return Column(np.array(values, dtype=dtype), np.array(mask), kind)
+
+    frame = Frame(
+        {
+            "power": column(aggregate_floats, np.float64, "float"),
+            "ops": column(st.integers(-(10**15), 10**15), np.int64, "int"),
+            "label": Column(np.array(["x"] * rows, dtype=object), np.zeros(rows, bool), "str"),
+        }
+    )
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=rows), max_size=8))
+    return frame, sorted(cuts | {rows})
+
+
+def streamed_summary(frame: Frame, cuts: list[int]) -> Frame:
+    """The aggregate a streamed campaign reports over ``frame`` cut at ``cuts``.
+
+    Each shard is folded into a :class:`FrameReducer`; the finalize then
+    gathers each column's valid values shard by shard into one buffer and
+    summarises them.
+    """
+    reducer = FrameReducer()
+    shards = []
+    start = 0
+    for stop in cuts:
+        shards.append(frame.take(np.arange(start, stop)))
+        reducer.update(shards[-1])
+        start = stop
+    gathered = np.empty(len(frame))
+    summaries = {}
+    for name in reducer.columns:
+        filled = 0
+        for shard in shards:
+            values = valid_values(shard[name].values, shard[name].mask)
+            gathered[filled : filled + len(values)] = values
+            filled += len(values)
+        summaries[name] = column_summary(gathered[:filled], reducer.quantiles)
+    return reducer.to_frame(summaries)
+
+
+def summary_bits(summary: Frame) -> dict[str, list]:
+    """A summary frame's cells, floats by their IEEE-754 bytes."""
+    return {
+        name: [
+            struct.pack("<d", v) if isinstance(v, float) else v for v in summary[name].to_list()
+        ]
+        for name in summary.columns
+    }
+
+
+@given(cut_frames())
+def test_streamed_aggregate_equals_resident_bit_for_bit(case):
+    frame, cuts = case
+    resident = reduce_frame(frame)
+    assert summary_bits(streamed_summary(frame, cuts)) == summary_bits(resident)
+    for row in resident.to_records():
+        values = valid_values(frame[row["column"]].values, frame[row["column"]].mask)
+        oracle = OnlineMoments()
+        oracle.update(values)
+        assert (row["count"], row["min"], row["max"]) == (
+            oracle.count,
+            oracle.minimum,
+            oracle.maximum,
+        )
+        if not oracle.count:
+            assert row["sum"] is row["mean"] is row["var"] is None
+            continue
+        # Pairwise over the sorted values against Welford in row order:
+        # within 1e-12 of the data's magnitude (the sum of |x| for the sum,
+        # max |x| for the mean, max x^2 for the variance).
+        largest = float(np.abs(values).max())
+        for field, want, scale in (
+            ("sum", oracle.total, float(np.abs(values).sum())),
+            ("mean", oracle.mean, largest),
+            ("var", oracle.variance, largest * largest),
+        ):
+            assert abs(row[field] - want) <= 1e-12 * max(abs(want), scale), field
+
+
+def test_non_finite_values_are_not_counted():
+    values = np.array([1.0, math.nan, math.inf, -math.inf, 3.0, 5.0])
+    mask = np.array([False, False, False, False, False, True])
+    frame = Frame({"power": Column(values, mask, "float")})
+    want = {"count": 2, "sum": 4.0, "mean": 2.0, "min": 1.0, "max": 3.0, "var": 1.0}
+    for summary in (
+        reduce_frame(frame),
+        streamed_summary(frame, [2, 4, 6]),
+        streamed_summary(frame, [5, 6]),
+    ):
+        (row,) = summary.to_records()
+        assert {field: row[field] for field in want} == want
+        assert row["p50"] == 2.0
